@@ -31,26 +31,11 @@ from .errors import (
 )
 from .market import DescriptiveStats, ReturnSeries, descriptive_stats, estimate_params, load_prices
 from .mc import PathBundle, SimulationConfig, mc_expected_cov, mc_price, simulate
-from .moments import (
-    exp_integral_moment,
-    raw_moments_from_cumulants,
-    series_leg_product,
-    series_leg_product_12,
-    shifted_moment,
-)
+from .moments import raw_moments_from_cumulants, shifted_moment
 from .params import PAIR_ORDER, AssetParams, ModelParams
 from .pricing import PricingResult, SwapContract, SwapKind, price_eigenvalue, price_trace
 from .quadrature import adaptive_simpson
-from .subordinators import (
-    CorrelatedTriple,
-    Family,
-    SubordinatorSpec,
-    cgf,
-    correlated_increments,
-    cumulant,
-    sample_increment,
-    stationary_vol_correlations,
-)
+from .subordinators import CorrelatedTriple, Family, SubordinatorSpec
 from .weights import (
     ConstraintBasis,
     FeasibleWeights,
@@ -87,12 +72,8 @@ __all__ = [
     "SwapKind",
     "adaptive_simpson",
     "attainable_target_interval",
-    "cgf",
-    "correlated_increments",
-    "cumulant",
     "descriptive_stats",
     "estimate_params",
-    "exp_integral_moment",
     "expected_cov_approx",
     "expected_cov_matrix",
     "expected_cov_series",
@@ -105,11 +86,7 @@ __all__ = [
     "price_trace",
     "qr_constraint_basis",
     "raw_moments_from_cumulants",
-    "sample_increment",
-    "series_leg_product",
-    "series_leg_product_12",
     "shifted_moment",
     "simulate",
     "sqrt_series_coefficients",
-    "stationary_vol_correlations",
 ]

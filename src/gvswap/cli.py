@@ -1,9 +1,9 @@
 """Command-line surface: calibrate, price and verify.
 
 Exit codes: 0 success, 2 input error, 3 estimation error, 4 infeasible
-contract, 5 verification failure.  All numeric output is printed with 17
-significant digits so reports diff cleanly; identical inputs and seed
-reproduce identical reports.
+contract, 5 verification failure, 6 numerical failure.  All numeric output is
+printed with 17 significant digits so reports diff cleanly; identical inputs
+and seed reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     EstimationError,
     GvswapError,
     InfeasibleTargetError,
+    NumericalError,
     ParameterError,
 )
 from .market import estimate_params, load_prices
@@ -34,6 +35,11 @@ EXIT_INPUT = 2
 EXIT_ESTIMATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_VERIFICATION = 5
+EXIT_NUMERICAL = 6
+
+#: verify fails when an analytic entry lies more than this many MC standard
+#: errors from the simulated one
+Z_THRESHOLD = 4.0
 
 SEED_ENV_VAR = "GVSWAP_SEED"
 
@@ -164,13 +170,13 @@ def cmd_verify(args) -> int:
             "routes": routes,
             "max_abs_z": zmax,
         },
-        diagnostics={"threshold": 4.0},
+        diagnostics={"threshold": Z_THRESHOLD},
         seed=seed,
         version=__version__,
         wall_time_s=watch.elapsed,
     )
     _write_or_print(dumps_17(report.to_json_dict()), args.out)
-    return EXIT_OK if zmax <= 4.0 else EXIT_VERIFICATION
+    return EXIT_OK if zmax <= Z_THRESHOLD else EXIT_VERIFICATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,6 +237,9 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ParameterError, GvswapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -22,8 +22,9 @@ differ in how E[sigma_i sigma_j] = E[sqrt(sigma_i^2 sigma_j^2)] is evaluated:
   closed form from the moments of the three independent exponential
   integrals.
 
-Diagonal entries use the exact first-moment integral; no expansion is
-involved.
+Diagonal entries are in closed form: the time average of E[sigma_i^2] is
+elementary (Barndorff-Nielsen & Shephard, JRSS B 63, 2001), so no expansion or
+quadrature is involved.
 
 The expansion argument requires the centered product to stay inside the unit
 ball for convergence; with unbounded subordinators this holds only with high
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SingularConfigurationError
-from .moments import _pair_index, scaled_moment_table
+from .moments import scaled_moment_table
 from .params import PAIR_ORDER, ModelParams
 from .quadrature import adaptive_simpson
 
@@ -70,6 +71,17 @@ def _collapsed_weights(kmax: int) -> np.ndarray:
     for p in range(kmax + 1):
         w[p] = sum(c[k] * math.comb(k, p) * (-1) ** (k - p) for k in range(p, kmax + 1))
     return w
+
+
+def _pair_index(pair) -> tuple[int, int]:
+    s = tuple(pair)
+    if sorted(s) == [0, 1]:
+        return (0, 1)
+    if sorted(s) == [1, 2]:
+        return (1, 2)
+    if sorted(s) == [0, 2]:
+        return (2, 0)
+    raise ParameterError(f"pair must name two distinct assets among 0, 1, 2; got {pair!r}")
 
 
 def _jump_term(params: ModelParams, i: int, j: int, convention: str) -> float:
@@ -109,16 +121,11 @@ class _PairSeriesEngine:
 
     Every coefficient is nonnegative, so the assembly is stable for any
     parameter values.  (The equivalent factorization that isolates the
-    independent legs behind shifted variables -- the form the leg-product
-    operations expose -- cancels catastrophically when the shifts are large
-    against the product scale.)
-
-    The printed-normalization variant scales the non-base shift contribution
-    by sqrt(1+r), mirroring the alternative sqrt(1-r) normalization of the
-    leg product; it exists for comparison only.
+    independent legs behind shifted variables cancels catastrophically when
+    the shifts are large against the product scale.)
     """
 
-    def __init__(self, params: ModelParams, pair, kmax: int, printed_normalization: bool):
+    def __init__(self, params: ModelParams, pair, kmax: int):
         self.params = params
         self.pair = _pair_index(pair)
         self.kmax = kmax
@@ -136,21 +143,7 @@ class _PairSeriesEngine:
         i, j = self.pair
         a_i, b_i, comp_i = leg_mix(i)
         a_j, b_j, comp_j = leg_mix(j)
-        sh_i = params.assets[i].sigma0_sq
-        sh_j = params.assets[j].sigma0_sq
-        if printed_normalization and self.pair != (1, 2):
-            # shift of the non-base leg implied by the sqrt(1-r) normalization:
-            # sqrt(1-r^2)/sqrt(1-r) = sqrt(1+r) scales the shifted part
-            other = j if i == 0 else i
-            r = tr.r2 if other == 1 else tr.r3
-            extra = math.sqrt(1.0 + r) - 1.0
-            sh_other = params.assets[other].sigma0_sq
-            bump = extra * (sh_other - r * params.assets[0].sigma0_sq)
-            if other == j:
-                sh_j = sh_j + bump
-            else:
-                sh_i = sh_i + bump
-        self.shifts = (sh_i, sh_j)
+        self.shifts = (params.assets[i].sigma0_sq, params.assets[j].sigma0_sq)
         self.cum_base = tr.z1.cumulant_sequence(max(2 * K, 1))
         self.cum_i = comp_i.cumulant_sequence(max(K, 1)) if comp_i is not None else None
         self.cum_j = comp_j.cumulant_sequence(max(K, 1)) if comp_j is not None else None
@@ -247,49 +240,40 @@ def _series_tail(engine: _PairSeriesEngine, coeffs: np.ndarray, t: float, center
 # ---------------------------------------------------------------------------
 
 def expected_var_leg(
-    i: int, params: ModelParams, tol: float = None, jump_convention: str = "consistent"
+    i: int, params: ModelParams, jump_convention: str = "consistent"
 ) -> tuple[float, dict]:
     """Expected realized variance of asset i (0-based):
-    (1/T) int_0^T E[sigma_i^2(t)] dt plus the squared-jump term."""
+    (1/T) int_0^T E[sigma_i^2(t)] dt plus the squared-jump term.
+
+    E[sigma_i^2(t)] = k1 + (sigma_i0^2 - k1) e^(-lam t) with k1 the driver's
+    mean, so the time average is k1 + (sigma_i0^2 - k1)(1 - e^(-lam T))/(lam T).
+    """
     if i not in (0, 1, 2):
         raise ParameterError(f"asset index must be 0, 1 or 2, got {i}")
-    lam, T = params.lam, params.horizon
-    cums = params.asset_cumulant_sequence(i, 1)
-    sh = params.assets[i].sigma0_sq
-
-    def integrand(t: float) -> float:
-        return float(scaled_moment_table(cums, sh, lam, t, 1)[1])
-
-    value, err = adaptive_simpson(integrand, 0.0, T, tol)
+    lam_T = params.lam * params.horizon
+    k1 = float(params.asset_cumulant_sequence(i, 1)[0])
+    value = k1 + (params.assets[i].sigma0_sq - k1) * (-math.expm1(-lam_T)) / lam_T
     jump = _jump_term(params, i, i, jump_convention)
-    return value / T + jump, {"quad_error": err / T, "jump_term": jump}
+    return value + jump, {"jump_term": jump}
 
 
 def expected_cov_series(
     pair,
     params: ModelParams,
-    tol: float = None,
     *,
-    normalization: str = "consistent",
     center: str = "adaptive",
-    kmax: int = None,
     jump_convention: str = "consistent",
 ) -> tuple[float, dict]:
-    """Off-diagonal expected covariance by the truncated binomial series.
+    """Off-diagonal expected covariance by the truncated binomial series,
+    to order params.kmax.
 
     Parameters
     ----------
-    normalization : "consistent" or "printed"
-        Normalization of the second-leg shift for pairs (0,1) and (2,0):
-        sqrt(1-r^2) (consistent with the mixing identity; default) or the
-        alternative sqrt(1-r).  The simulation oracle rejects "printed".
     center : "adaptive" or "fixed"
         Expansion center: the exact product mean per node, or the constant
         bounding level beta of the parameter set.
     """
     i, j = _pair_index(pair)
-    if normalization not in ("consistent", "printed"):
-        raise ParameterError(f"unknown normalization {normalization!r}")
     if center not in ("adaptive", "fixed"):
         raise ParameterError(f"unknown center {center!r}")
     if (i, j) == (1, 2):
@@ -300,11 +284,11 @@ def expected_cov_series(
             raise SingularConfigurationError("pair (1, 2) series requires r2 > 0")
         if params.triple.r3 >= 1.0:
             raise SingularConfigurationError("pair (1, 2) series requires r3 < 1")
-    kmax = params.kmax if kmax is None else kmax
-    lam, T = params.lam, params.horizon
+    kmax = params.kmax
+    T = params.horizon
     gamma_ij = float(params.gamma[i, j])
 
-    engine = _PairSeriesEngine(params, (i, j), kmax, normalization == "printed")
+    engine = _PairSeriesEngine(params, (i, j), kmax)
     weights = _collapsed_weights(kmax)
     coeffs = sqrt_series_coefficients(kmax)
 
@@ -323,7 +307,7 @@ def expected_cov_series(
     def integrand(t: float) -> float:
         return _series_point(engine, weights, t, center_sq)
 
-    value, err = adaptive_simpson(integrand, 0.0, T, tol)
+    value, err = adaptive_simpson(integrand, 0.0, T)
     jump = _jump_term(params, i, j, jump_convention)
 
     probes = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, T]
@@ -444,7 +428,6 @@ def _product_mean_and_variance(params: ModelParams, pair, t: float) -> tuple[flo
 def expected_cov_approx(
     pair,
     params: ModelParams,
-    tol: float = None,
     jump_convention: str = "consistent",
 ) -> tuple[float, dict]:
     """Off-diagonal expected covariance by the two-term delta expansion
@@ -461,7 +444,7 @@ def expected_cov_approx(
             return math.sqrt(max(m, 0.0))
         return math.sqrt(m) - v / (8.0 * m**1.5)
 
-    value, err = adaptive_simpson(integrand, 0.0, T, tol)
+    value, err = adaptive_simpson(integrand, 0.0, T)
     jump = _jump_term(params, i, j, jump_convention)
     return gamma_ij * value / T + jump, {
         "quad_error": abs(gamma_ij) * err / T,
@@ -508,18 +491,18 @@ class ExpectedCovMatrix:
         return cls(entries=entries, method=d.get("method", "fixture"), diagnostics=d.get("diagnostics", {}))
 
 
-def expected_cov_matrix(params: ModelParams, method: str = "series", tol: float = None, **kwargs) -> ExpectedCovMatrix:
-    """Assemble the full matrix: diagonal from the exact variance legs,
+def expected_cov_matrix(params: ModelParams, method: str = "series") -> ExpectedCovMatrix:
+    """Assemble the full matrix: diagonal from the closed-form variance legs,
     off-diagonals from the requested route ("series" or "approx")."""
     if method not in ("series", "approx"):
         raise ParameterError(f"unknown method {method!r}; use 'series' or 'approx'")
     entries = np.zeros((3, 3))
     diagnostics = {}
     for i in range(3):
-        entries[i, i], diagnostics[f"{i}{i}"] = expected_var_leg(i, params, tol)
+        entries[i, i], diagnostics[f"{i}{i}"] = expected_var_leg(i, params)
     route = expected_cov_series if method == "series" else expected_cov_approx
     for i, j in PAIR_ORDER:
-        value, diag = route((i, j), params, tol, **kwargs)
+        value, diag = route((i, j), params)
         entries[i, j] = entries[j, i] = value
         diagnostics[f"{min(i, j)}{max(i, j)}"] = diag
     return ExpectedCovMatrix(entries=entries, method=method, diagnostics=diagnostics)

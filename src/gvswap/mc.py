@@ -36,6 +36,7 @@ from .pricing import PricingResult, SwapContract, SwapKind
 from .weights import feasible_weights, qr_constraint_basis
 
 _SCAN_SEGMENT = 512  # bounds the exponent range of the variance scan
+_MAX_SCAN_EXPONENT = 300.0  # largest lam * dt * k in a segment; exp(709) overflows
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,11 @@ def _variance_path(sigma0_sq: float, increments: np.ndarray, decay_step: np.ndar
     range for any lam * T.
     """
     n = len(increments)
+    seg = len(grow)
     out = np.empty(n + 1)
     out[0] = sigma0_sq
-    for start in range(0, n, _SCAN_SEGMENT):
-        stop = min(start + _SCAN_SEGMENT, n)
+    for start in range(0, n, seg):
+        stop = min(start + seg, n)
         m = stop - start
         c = np.cumsum(grow[:m] * increments[start:stop])
         out[start + 1: stop + 1] = decay_step[:m] * (out[start] + weight * c)
@@ -125,7 +127,7 @@ def simulate(params: ModelParams, config: SimulationConfig) -> PathBundle:
                 f"leverage rho={rho[i]} of asset {i} lies outside the driver's CGF domain"
             ) from exc
 
-    seg = min(_SCAN_SEGMENT, n_steps)
+    seg = max(1, min(_SCAN_SEGMENT, n_steps, int(_MAX_SCAN_EXPONENT / lam_dt)))
     grow = np.exp(lam_dt * np.arange(1, seg + 1))
     decay_step = np.exp(-lam_dt * np.arange(1, seg + 1))
     sqrt_dt = math.sqrt(dt)

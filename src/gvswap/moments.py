@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, SingularConfigurationError
-from .params import ModelParams
+from .errors import ParameterError
 from .subordinators import SubordinatorSpec
 
 
@@ -68,17 +67,6 @@ def _check_order(order: int, lo: int = 1, hi: int = 4) -> int:
     return int(order)
 
 
-def exp_integral_moment(spec: SubordinatorSpec, lam: float, t: float, order: int) -> float:
-    """E[Y(t)^order] for Y(t) = int_0^{lam t} e^s dV_s, order in 1..4."""
-    order = _check_order(order)
-    if lam <= 0:
-        raise ParameterError(f"mean-reversion rate must be positive, got {lam}")
-    if t < 0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    scaled = scaled_moment_table(spec.cumulant_sequence(order), 0.0, lam, t, order)
-    return float(scaled[order] * math.exp(order * lam * t))
-
-
 def shifted_moment(shift: float, spec: SubordinatorSpec, lam: float, t: float, order: int) -> float:
     """E[(shift + Y(t))^order] by the binomial shift of the Y moments, order in 1..4."""
     order = _check_order(order)
@@ -89,105 +77,3 @@ def shifted_moment(shift: float, spec: SubordinatorSpec, lam: float, t: float, o
     scaled = scaled_moment_table(spec.cumulant_sequence(order), shift, lam, t, order)
     return float(scaled[order] * math.exp(order * lam * t))
 
-
-# ---------------------------------------------------------------------------
-# leg definitions for the covariance series: each leg is shift + Y(driver),
-# with the driver taken from the model's correlated triple.
-# ---------------------------------------------------------------------------
-
-def _pair_index(pair) -> tuple[int, int]:
-    s = tuple(pair)
-    if sorted(s) == [0, 1]:
-        return (0, 1)
-    if sorted(s) == [1, 2]:
-        return (1, 2)
-    if sorted(s) == [0, 2]:
-        return (2, 0)
-    raise ParameterError(f"pair must name two distinct assets among 0, 1, 2; got {pair!r}")
-
-
-def pair_legs(params: ModelParams, pair, printed_normalization: bool = False):
-    """Shift and driver cumulants of the two independent legs for pairs
-    (0,1) and (2,0).
-
-    Leg one is the base-driver variable shift sigma0_sq[0] + Y(Z1); leg two
-    carries the remaining independent component with shift
-    (sigma0_sq[j] - r sigma0_sq[0]) / sqrt(1 - r^2).  The printed variant
-    divides by sqrt(1 - r) instead; it is kept selectable for comparison but
-    fails the simulation oracle (see expected_cov_series notes).
-    """
-    i, j = _pair_index(pair)
-    if (i, j) == (1, 2):
-        raise ParameterError("pair (1, 2) uses the three-component decomposition; see pair_legs_12")
-    tr = params.triple
-    other = j if i == 0 else i  # the non-base asset of the pair
-    r = tr.r2 if other == 1 else tr.r3
-    comp = tr.z_star if other == 1 else tr.z_star_star
-    one_minus = 1.0 - r if printed_normalization else 1.0 - r * r
-    if one_minus <= 0.0:
-        raise SingularConfigurationError(
-            f"pair {(i, j)} second leg undefined at r={r}: normalization sqrt({one_minus}) vanishes"
-        )
-    shift1 = params.assets[0].sigma0_sq
-    shift2 = (params.assets[other].sigma0_sq - r * shift1) / math.sqrt(one_minus)
-    return r, (shift1, tr.z1), (shift2, comp)
-
-
-def pair_legs_12(params: ModelParams):
-    """The three independent legs of the (1,2) pair decomposition.
-
-    Writing s2 = F + sqrt(1-r2^2) G* and s3 = (r3/r2) F + c + sqrt(1-r3^2) G**
-    with F = sigma0_sq[1] + r2 Y(Z1), G* = Y(Z*), G** = Y(Z**) and
-    c = sigma0_sq[2] - (r3/r2) sigma0_sq[1], the product moments factor over
-    (F, Gbar**, G*) where Gbar** = G** + c / sqrt(1-r3^2).
-    """
-    tr = params.triple
-    if tr.r2 <= 0.0:
-        raise SingularConfigurationError("pair (1, 2) decomposition requires r2 > 0")
-    if tr.r3 >= 1.0:
-        raise SingularConfigurationError("pair (1, 2) decomposition requires r3 < 1")
-    s2_0 = params.assets[1].sigma0_sq
-    s3_0 = params.assets[2].sigma0_sq
-    c = s3_0 - (tr.r3 / tr.r2) * s2_0
-    # F has driver r2 * Z1: cumulants scale as r2^n
-    return (
-        (s2_0, None),  # F: shift sigma0_sq[1], cumulants r2^n kappa_n(Z1), built by caller
-        (c / math.sqrt(1.0 - tr.r3**2), tr.z_star_star),
-        (0.0, tr.z_star),
-    )
-
-
-def series_leg_product(
-    params: ModelParams, pair, p: int, u: int, t: float, printed_normalization: bool = False
-) -> float:
-    """Product of the two leg moments of orders p+u and p-u for pairs (0,1), (2,0)."""
-    if not 0 <= u <= p:
-        raise ParameterError(f"need 0 <= u <= p, got p={p}, u={u}")
-    _, (sh1, d1), (sh2, d2) = pair_legs(params, pair, printed_normalization)
-    lam = params.lam
-    m1 = scaled_moment_table(d1.cumulant_sequence(max(p + u, 1)), sh1, lam, t, p + u)
-    m2 = scaled_moment_table(d2.cumulant_sequence(max(p - u, 1)), sh2, lam, t, p - u)
-    return float(m1[p + u] * math.exp((p + u) * lam * t) * m2[p - u] * math.exp((p - u) * lam * t))
-
-
-def series_leg_product_12(params: ModelParams, p: int, u: int, v: int, w: int, t: float) -> float:
-    """The three-factor moment product of the (1,2) pair expansion.
-
-    Equals r2^(u+v) E[(sigma0_sq[1]/r2 + Y(Z1))^(u+v)]
-    E[(Gbar**)^(p-u+w)] E[(G*)^(p-v-w)] with the exponent constraints
-    0 <= v <= u <= p, 0 <= w <= u-v.
-    """
-    if not (0 <= v <= u <= p and 0 <= w <= u - v):
-        raise ParameterError(f"invalid exponent combination p={p}, u={u}, v={v}, w={w}")
-    if p - v - w < 0 or p - u + w < 0:
-        raise ParameterError(f"invalid exponent combination p={p}, u={u}, v={v}, w={w}")
-    (shF, _), (shG, dG), (shS, dS) = pair_legs_12(params)
-    tr = params.triple
-    lam = params.lam
-    # F = sigma0_sq[1] + r2 Y(Z1): absorb r2^(u+v) into the driver cumulants
-    cF = tr.z1.cumulant_sequence(max(u + v, 1)) * tr.r2 ** np.arange(1, max(u + v, 1) + 1)
-    mF = scaled_moment_table(cF, shF, lam, t, u + v)
-    mG = scaled_moment_table(dG.cumulant_sequence(max(p - u + w, 1)), shG, lam, t, p - u + w)
-    mS = scaled_moment_table(dS.cumulant_sequence(max(p - v - w, 1)), shS, lam, t, p - v - w)
-    scale = math.exp(((u + v) + (p - u + w) + (p - v - w)) * lam * t)
-    return float(mF[u + v] * mG[p - u + w] * mS[p - v - w] * scale)

@@ -143,19 +143,6 @@ class SubordinatorSpec:
         return cls(fam, float(d["a"]), float(d["b"]))
 
 
-# operation-style wrappers matching the module contract
-def cumulant(spec: SubordinatorSpec, n: int) -> float:
-    return spec.cumulant(n)
-
-
-def cgf(spec: SubordinatorSpec, theta: float) -> float:
-    return spec.cgf(theta)
-
-
-def sample_increment(spec: SubordinatorSpec, dt: float, rng: np.random.Generator, size=None):
-    return spec.sample_increments(dt, rng, size)
-
-
 @dataclass(frozen=True)
 class CorrelatedTriple:
     """Three subordinators (Z1, Z2, Z3) with Z2, Z3 mixed from Z1 and two
@@ -252,10 +239,3 @@ class CorrelatedTriple:
             z_star_star=SubordinatorSpec.from_json_dict(d["z_star_star"]),
         )
 
-
-def correlated_increments(triple: CorrelatedTriple, dz1, dz_star, dz_star_star):
-    return triple.correlated_increments(dz1, dz_star, dz_star_star)
-
-
-def stationary_vol_correlations(triple: CorrelatedTriple) -> tuple[float, float, float]:
-    return triple.stationary_vol_correlations()

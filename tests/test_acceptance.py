@@ -19,7 +19,6 @@ from gvswap import (
     SubordinatorSpec,
     SwapContract,
     SwapKind,
-    exp_integral_moment,
     expected_cov_matrix,
     feasible_weights,
     mc_expected_cov,
@@ -27,9 +26,9 @@ from gvswap import (
     price_trace,
     qr_constraint_basis,
     refcase,
+    shifted_moment,
     simulate,
     sqrt_series_coefficients,
-    stationary_vol_correlations,
 )
 
 from .conftest import ACCEPTANCE_SEED, make_params
@@ -181,7 +180,7 @@ def test_moment_engine_against_path_simulation():
                 )
                 for order in range(1, 5):
                     est, se = mean_with_stderr(draws**order)
-                    got = exp_integral_moment(spec, lam, t, order)
+                    got = shifted_moment(0.0, spec, lam, t, order)
                     bias = got * order * lam * t / n_cells  # left-endpoint grid bias bound
                     assert abs(got - est) <= 4 * se + bias, (lam, t, order)
 
@@ -221,7 +220,7 @@ def test_stationary_vol_correlations_against_simulation(base_params):
         config = SimulationConfig(n_paths=100_000, n_steps=n_steps, seed=ACCEPTANCE_SEED + 1)
         bundle = simulate(params, config)
         s_sq = bundle.sigma_sq_terminal
-        want = stationary_vol_correlations(params.triple)
+        want = params.triple.stationary_vol_correlations()
         n = config.n_paths
         for (i, j), rho_formula in zip(((0, 1), (0, 2), (1, 2)), want):
             sample = np.corrcoef(s_sq[:, i], s_sq[:, j])[0, 1]

@@ -4,11 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from gvswap import ModelParams, estimate_params, load_prices, refcase
+from gvswap import (
+    ModelParams,
+    NumericalError,
+    SimulationConfig,
+    estimate_params,
+    load_prices,
+    refcase,
+    simulate,
+)
 from gvswap.cli import (
     EXIT_ESTIMATION,
     EXIT_INFEASIBLE,
     EXIT_INPUT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFICATION,
     main,
@@ -145,6 +154,23 @@ class TestPrice:
         assert report["results"]["method"] == "approx"
         assert report["results"]["expected_metric"] > 0.0
 
+    def test_numerical_failure_exit_6(self, capsys, monkeypatch):
+        import gvswap.cli as cli
+
+        def fail(*args, **kwargs):
+            raise NumericalError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "expected_cov_matrix", fail)
+        code, _, err = run(
+            capsys,
+            "price",
+            "--params", FIXTURES / "base_params.json",
+            "--method", "approx",
+            "--contract", FIXTURES / "contract_trace.json",
+        )
+        assert code == EXIT_NUMERICAL
+        assert "converge" in err
+
     def test_reports_reproducible(self, capsys):
         args = (
             "price",
@@ -190,6 +216,24 @@ class TestVerify:
         assert code in (EXIT_OK, EXIT_VERIFICATION)
         assert set(report["results"]["routes"]) == {"series", "approx"}
         assert len(report["results"]["mc"]["entries"]) == 9
+
+    def test_fast_mean_reversion_no_overflow(self, capsys, tmp_path):
+        # lam * dt * 252 = 756 would overflow exp() in an unsplit variance scan
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        params["lambda"] = 3.0
+        path = tmp_path / "fast.json"
+        path.write_text(dumps_17(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelParams.from_json_dict(params)
+        bundle = simulate(model, SimulationConfig(n_paths=20, n_steps=252, seed=7))
+        assert np.all(np.isfinite(bundle.realized))
+        assert np.all(np.isfinite(bundle.x_terminal))
+        assert np.all(np.isfinite(bundle.sigma_sq_terminal))
+        code, _, _ = run(
+            capsys, "verify", "--params", path, "--paths", 20, "--steps", 252, "--seed", 7
+        )
+        assert code in (EXIT_OK, EXIT_VERIFICATION)
 
     def test_tampered_params_exit_2(self, capsys, tmp_path):
         params = json.loads((FIXTURES / "base_params.json").read_text())

@@ -71,6 +71,31 @@ class TestVarianceLegs:
         jump = base_params.assets[0].rho ** 2 * base_params.lam * base_params.triple.z1.cumulant(2)
         assert cons - printed == pytest.approx(jump * (1 - 1 / base_params.horizon), rel=1e-9)
 
+    @pytest.mark.parametrize("family", [Family.GAMMA, Family.INVERSE_GAUSSIAN])
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4])
+    def test_units_invariance(self, family, c):
+        # exact rescaling of the model by c: variances and driver laws scale
+        # by c, leverages by c^(-1/2); every diagonal entry then scales by c
+        def build(scale):
+            if family is Family.GAMMA:
+                spec = SubordinatorSpec(family, 100.0, 2.0e6 / scale)
+            else:
+                spec = SubordinatorSpec(family, 0.0335 * math.sqrt(scale), 670.0 / math.sqrt(scale))
+            return make_params(
+                spec=spec,
+                sigma0_sq=[4.0 * 5e-5 * scale, 5e-5 * scale, 0.25 * 5e-5 * scale],
+                rho=tuple(-r / math.sqrt(scale) for r in (0.8, 0.5, 0.6)),
+            )
+
+        unit, scaled = build(1.0), build(c)
+        for i in range(3):
+            want, _ = expected_var_leg(i, unit)
+            got, _ = expected_var_leg(i, scaled)
+            assert got == pytest.approx(c * want, rel=1e-12)
+        want = expected_cov_matrix(unit, "approx").trace
+        got = expected_cov_matrix(scaled, "approx").trace
+        assert got == pytest.approx(c * want, rel=1e-12)
+
     def test_bad_index(self, base_params):
         with pytest.raises(ParameterError):
             expected_var_leg(3, base_params)
@@ -130,11 +155,6 @@ class TestSeriesRoute:
         _, diag = expected_cov_series((0, 1), base_params)
         assert diag["series_tail"] < 1e-6
 
-    def test_printed_normalization_differs(self, base_params):
-        v_cons, _ = expected_cov_series((0, 1), base_params, normalization="consistent")
-        v_printed, _ = expected_cov_series((0, 1), base_params, normalization="printed")
-        assert v_cons != v_printed
-
     def test_fixed_center_matches_adaptive(self, base_params):
         for pair in [(0, 1), (2, 0)]:
             v_a, _ = expected_cov_series(pair, base_params, center="adaptive")
@@ -155,8 +175,6 @@ class TestSeriesRoute:
 
     def test_unknown_options_rejected(self, base_params):
         with pytest.raises(ParameterError):
-            expected_cov_series((0, 1), base_params, normalization="bogus")
-        with pytest.raises(ParameterError):
             expected_cov_series((0, 1), base_params, center="bogus")
 
 
@@ -167,12 +185,13 @@ class TestEngineEquivalence:
     def test_two_leg_pairs_match_leg_products(self, base_params):
         import math as _math
 
-        from gvswap import series_leg_product
         from gvswap.covariance import _PairSeriesEngine
+
+        from .legs import series_leg_product
 
         p_max = 4
         for pair, r in (((0, 1), base_params.triple.r2), ((2, 0), base_params.triple.r3)):
-            engine = _PairSeriesEngine(base_params, pair, p_max, False)
+            engine = _PairSeriesEngine(base_params, pair, p_max)
             s = _math.sqrt(1 - r * r)
             for t in (0.5, 2.0, 10.0):
                 M = engine.product_moments(t)
@@ -191,15 +210,16 @@ class TestEngineEquivalence:
     def test_three_leg_pair_matches_leg_products(self, base_params):
         import math as _math
 
-        from gvswap import series_leg_product_12
         from gvswap.covariance import _PairSeriesEngine
+
+        from .legs import series_leg_product_12
 
         tr = base_params.triple
         ratio = tr.r3 / tr.r2
         s2 = _math.sqrt(1 - tr.r2**2)
         s3 = _math.sqrt(1 - tr.r3**2)
         p_max = 3
-        engine = _PairSeriesEngine(base_params, (1, 2), p_max, False)
+        engine = _PairSeriesEngine(base_params, (1, 2), p_max)
         lam = base_params.lam
         for t in (0.5, 2.0):
             M = engine.product_moments(t)
@@ -233,7 +253,7 @@ class TestApproxRoute:
         from gvswap.covariance import _PairSeriesEngine
 
         for pair in [(0, 1), (1, 2), (2, 0)]:
-            engine = _PairSeriesEngine(base_params, pair, 2, False)
+            engine = _PairSeriesEngine(base_params, pair, 2)
             for t in (0.5, 5.0, 50.0, 252.0):
                 m_engine = engine.product_moments(t)[1]
                 m_direct, _ = _product_mean_and_variance(base_params, pair, t)
@@ -243,7 +263,7 @@ class TestApproxRoute:
         from gvswap.covariance import _PairSeriesEngine
 
         for pair in [(0, 1), (1, 2), (2, 0)]:
-            engine = _PairSeriesEngine(base_params, pair, 2, False)
+            engine = _PairSeriesEngine(base_params, pair, 2)
             for t in (0.5, 5.0, 50.0, 252.0):
                 m = engine.product_moments(t)
                 var_engine = m[2] - m[1] ** 2

@@ -8,15 +8,13 @@ from gvswap import (
     ParameterError,
     SingularConfigurationError,
     SubordinatorSpec,
-    exp_integral_moment,
     raw_moments_from_cumulants,
-    series_leg_product,
-    series_leg_product_12,
     shifted_moment,
 )
 from gvswap.moments import scaled_moment_table
 
 from .conftest import make_params
+from .legs import series_leg_product, series_leg_product_12
 from .oracles import (
     mean_with_stderr,
     moments_from_mgf,
@@ -48,29 +46,29 @@ class TestRawMomentConversion:
 
 class TestExpIntegralMoment:
     def test_zero_time_vanishes(self):
-        assert exp_integral_moment(GAMMA_11, 0.4, 0.0, 3) == 0.0
+        assert shifted_moment(0.0, GAMMA_11, 0.4, 0.0, 3) == 0.0
 
     def test_first_moment_closed_form(self):
         # E[Y] = kappa_1 (e^(lam t) - 1)
-        got = exp_integral_moment(GAMMA_11, 0.4, 1.0, 1)
+        got = shifted_moment(0.0, GAMMA_11, 0.4, 1.0, 1)
         assert got == pytest.approx(math.exp(0.4) - 1.0, rel=1e-14)
 
     def test_order_validation(self):
         for bad in (0, 5, 1.5):
             with pytest.raises(ParameterError):
-                exp_integral_moment(GAMMA_11, 0.4, 1.0, bad)
+                shifted_moment(0.0, GAMMA_11, 0.4, 1.0, bad)
 
     def test_nondecreasing_in_time(self):
         for order in range(1, 5):
-            values = [exp_integral_moment(GAMMA_11, 0.4, t, order) for t in (0.0, 0.5, 1.0, 2.0, 5.0)]
+            values = [shifted_moment(0.0, GAMMA_11, 0.4, t, order) for t in (0.0, 0.5, 1.0, 2.0, 5.0)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_jensen_inequalities(self):
         for spec in (GAMMA_11, SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.0, 1.0)):
             for lam, t in ((0.2, 1.0), (0.4, 2.0), (0.8, 0.5)):
-                m1 = exp_integral_moment(spec, lam, t, 1)
-                m2 = exp_integral_moment(spec, lam, t, 2)
-                m4 = exp_integral_moment(spec, lam, t, 4)
+                m1 = shifted_moment(0.0, spec, lam, t, 1)
+                m2 = shifted_moment(0.0, spec, lam, t, 2)
+                m4 = shifted_moment(0.0, spec, lam, t, 4)
                 assert m2 >= m1 * m1 - 1e-15
                 assert m4 >= m2 * m2 - 1e-15
 
@@ -82,7 +80,7 @@ class TestExpIntegralMoment:
             lambda ds, r, n: GAMMA_11.sample_increments(ds, r, n), lam, t, 2000, 60_000, rng
         )
         est, se = mean_with_stderr(draws**order)
-        got = exp_integral_moment(GAMMA_11, lam, t, order)
+        got = shifted_moment(0.0, GAMMA_11, lam, t, order)
         # left-endpoint grid bias ~ order * kappa-scale * ds; widen by it
         bias_allowance = got * order * (lam * t / 2000) * 2
         assert abs(got - est) < 4 * se + bias_allowance
@@ -92,16 +90,10 @@ class TestShiftedMoment:
     def test_deterministic_square(self):
         assert shifted_moment(0.05, ZERO, 0.4, 3.0, 2) == pytest.approx(0.0025, rel=1e-14)
 
-    def test_zero_shift_reduces_to_exp_integral(self):
-        for order in range(1, 5):
-            assert shifted_moment(0.0, GAMMA_11, 0.4, 1.0, order) == pytest.approx(
-                exp_integral_moment(GAMMA_11, 0.4, 1.0, order), rel=1e-13
-            )
-
     def test_binomial_shift_identity(self):
         alpha, lam, t = 1.0, 0.4, 1.0
-        y1 = exp_integral_moment(GAMMA_11, lam, t, 1)
-        y2 = exp_integral_moment(GAMMA_11, lam, t, 2)
+        y1 = shifted_moment(0.0, GAMMA_11, lam, t, 1)
+        y2 = shifted_moment(0.0, GAMMA_11, lam, t, 2)
         expected = 1.0 + 2.0 * y1 + y2
         assert shifted_moment(alpha, GAMMA_11, lam, t, 2) == pytest.approx(expected, rel=1e-13)
 

@@ -12,11 +12,6 @@ from gvswap import (
     Family,
     ParameterError,
     SubordinatorSpec,
-    cgf,
-    correlated_increments,
-    cumulant,
-    sample_increment,
-    stationary_vol_correlations,
 )
 
 from .oracles import derivative_at_zero
@@ -27,23 +22,23 @@ ZERO = SubordinatorSpec(Family.ZERO)
 
 class TestCumulants:
     def test_gamma_unit_exponential_mean(self):
-        assert cumulant(GAMMA_11, 1) == 1.0
+        assert GAMMA_11.cumulant(1) == 1.0
 
     def test_gamma_second_cumulant_matches_cgf_curvature(self):
         spec = SubordinatorSpec(Family.GAMMA, 2.0, 4.0)
         # independent check: second derivative of the CGF at zero
-        oracle = derivative_at_zero(lambda th: cgf(spec, th), 2, 1e-2)
-        assert cumulant(spec, 2) == pytest.approx(0.125, abs=1e-12)
-        assert cumulant(spec, 2) == pytest.approx(oracle, abs=1e-9)
+        oracle = derivative_at_zero(lambda th: spec.cgf(th), 2, 1e-2)
+        assert spec.cumulant(2) == pytest.approx(0.125, abs=1e-12)
+        assert spec.cumulant(2) == pytest.approx(oracle, abs=1e-9)
 
     def test_zero_family_all_cumulants_vanish(self):
         for n in range(1, 5):
-            assert cumulant(ZERO, n) == 0.0
+            assert ZERO.cumulant(n) == 0.0
 
     @pytest.mark.parametrize("bad_n", [0, 5, -1, 2.5])
     def test_unsupported_order_rejected(self, bad_n):
         with pytest.raises(ParameterError):
-            cumulant(GAMMA_11, bad_n)
+            GAMMA_11.cumulant(bad_n)
 
     @pytest.mark.parametrize(
         "spec",
@@ -53,16 +48,16 @@ class TestCumulants:
         ],
     )
     def test_cgf_derivatives_pin_all_four_cumulants(self, spec):
-        scale = cumulant(spec, 1)
+        scale = spec.cumulant(1)
         for n in range(1, 5):
             h = 0.02 / scale if n < 3 else 0.03 / scale
-            oracle = derivative_at_zero(lambda th: cgf(spec, th), n, h)
-            assert cumulant(spec, n) == pytest.approx(oracle, rel=1e-5, abs=1e-12)
+            oracle = derivative_at_zero(lambda th: spec.cgf(th), n, h)
+            assert spec.cumulant(n) == pytest.approx(oracle, rel=1e-5, abs=1e-12)
 
     def test_cumulants_nonnegative(self):
         for spec in (GAMMA_11, SubordinatorSpec(Family.INVERSE_GAUSSIAN, 0.7, 1.3), ZERO):
             for n in range(1, 5):
-                assert cumulant(spec, n) >= 0.0
+                assert spec.cumulant(n) >= 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -75,43 +70,43 @@ class TestCumulants:
 
 class TestCgf:
     def test_normalization_at_zero(self):
-        assert cgf(GAMMA_11, 0.0) == 0.0
-        assert cgf(ZERO, 5.0) == 0.0
+        assert GAMMA_11.cgf(0.0) == 0.0
+        assert ZERO.cgf(5.0) == 0.0
 
     def test_gamma_log_ratio(self):
         spec = SubordinatorSpec(Family.GAMMA, 1.0, 2.0)
-        assert cgf(spec, 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert spec.cgf(1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_gamma_value_matches_sampled_mgf(self):
         spec = SubordinatorSpec(Family.GAMMA, 1.0, 2.0)
         rng = np.random.default_rng(41)
-        draws = sample_increment(spec, 1.0, rng, 1_000_000)
+        draws = spec.sample_increments(1.0, rng, 1_000_000)
         sample = np.exp(1.0 * draws)
         est = math.log(sample.mean())
         stderr = sample.std(ddof=1) / math.sqrt(len(sample)) / sample.mean()
-        assert abs(est - cgf(spec, 1.0)) < 4 * stderr
+        assert abs(est - spec.cgf(1.0)) < 4 * stderr
 
     def test_domain_error_names_bound(self):
         spec = SubordinatorSpec(Family.GAMMA, 1.0, 2.0)
         with pytest.raises(DomainError, match="2"):
-            cgf(spec, 2.0)
+            spec.cgf(2.0)
         ig = SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.0, 2.0)
         with pytest.raises(DomainError):
-            cgf(ig, 2.1)
+            ig.cgf(2.1)
 
     def test_central_difference_curvature_grid(self):
         # |d2/dtheta2 cgf at 0 - kappa_2| < 1e-6 with step 1e-4
         for spec in (GAMMA_11, SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.0, 1.5)):
             h = 1e-4
-            num = (cgf(spec, h) - 2.0 * cgf(spec, 0.0) + cgf(spec, -h)) / h**2
-            assert abs(num - cumulant(spec, 2)) < 1e-6
+            num = (spec.cgf(h) - 2.0 * spec.cgf(0.0) + spec.cgf(-h)) / h**2
+            assert abs(num - spec.cumulant(2)) < 1e-6
 
 
 class TestSampling:
     def test_zero_family_samples_zero(self):
         rng = np.random.default_rng(0)
-        assert sample_increment(ZERO, 1.0, rng) == 0.0
-        assert np.all(sample_increment(ZERO, 0.5, rng, 7) == 0.0)
+        assert ZERO.sample_increments(1.0, rng) == 0.0
+        assert np.all(ZERO.sample_increments(0.5, rng, 7) == 0.0)
 
     @pytest.mark.parametrize(
         "spec,dt",
@@ -125,30 +120,30 @@ class TestSampling:
     def test_increment_mean_and_variance(self, spec, dt):
         rng = np.random.default_rng(2024)
         n = 1_000_000
-        draws = sample_increment(spec, dt, rng, n)
+        draws = spec.sample_increments(dt, rng, n)
         assert np.all(draws >= 0.0)
         mean_se = draws.std(ddof=1) / math.sqrt(n)
-        assert abs(draws.mean() - cumulant(spec, 1) * dt) < 4 * mean_se
+        assert abs(draws.mean() - spec.cumulant(1) * dt) < 4 * mean_se
         var = draws.var(ddof=1)
         var_se = np.abs(draws - draws.mean()).var(ddof=1) ** 0.5  # rough scale
         var_se = ((draws - draws.mean()) ** 2).std(ddof=1) / math.sqrt(n)
-        assert abs(var - cumulant(spec, 2) * dt) < 4 * var_se
+        assert abs(var - spec.cumulant(2) * dt) < 4 * var_se
 
     def test_nonpositive_dt_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError):
-            sample_increment(GAMMA_11, 0.0, rng)
+            GAMMA_11.sample_increments(0.0, rng)
 
 
 class TestCorrelatedTriple:
     def test_full_correlation_passes_base_through(self):
         tr = CorrelatedTriple(1.0, 0.5, GAMMA_11, GAMMA_11, GAMMA_11)
-        dz2, _ = correlated_increments(tr, 2.0, 5.0, 1.0)
+        dz2, _ = tr.correlated_increments(2.0, 5.0, 1.0)
         assert dz2 == pytest.approx(2.0)
 
     def test_independence_passes_component_through(self):
         tr = CorrelatedTriple(0.0, 0.5, GAMMA_11, GAMMA_11, GAMMA_11)
-        dz2, _ = correlated_increments(tr, 2.0, 5.0, 1.0)
+        dz2, _ = tr.correlated_increments(2.0, 5.0, 1.0)
         assert dz2 == pytest.approx(5.0)
 
     def test_sampled_covariance_identity(self):
@@ -157,10 +152,10 @@ class TestCorrelatedTriple:
         tr = CorrelatedTriple(r2, 0.5, GAMMA_11, GAMMA_11, GAMMA_11)
         rng = np.random.default_rng(99)
         n = 1_000_000
-        dz1 = sample_increment(GAMMA_11, 1.0, rng, n)
-        dzs = sample_increment(GAMMA_11, 1.0, rng, n)
-        dzss = sample_increment(GAMMA_11, 1.0, rng, n)
-        dz2, _ = correlated_increments(tr, dz1, dzs, dzss)
+        dz1 = GAMMA_11.sample_increments(1.0, rng, n)
+        dzs = GAMMA_11.sample_increments(1.0, rng, n)
+        dzss = GAMMA_11.sample_increments(1.0, rng, n)
+        dz2, _ = tr.correlated_increments(dz1, dzs, dzss)
         prod = (dz1 - dz1.mean()) * (dz2 - dz2.mean())
         cov = prod.mean()
         se = prod.std(ddof=1) / math.sqrt(n)
@@ -176,9 +171,9 @@ class TestCorrelatedTriple:
     @settings(max_examples=200, deadline=None)
     def test_outputs_nonnegative_and_linear(self, r2, r3, dz):
         tr = CorrelatedTriple(r2, r3, GAMMA_11, GAMMA_11, GAMMA_11)
-        dz2, dz3 = correlated_increments(tr, *dz)
+        dz2, dz3 = tr.correlated_increments(*dz)
         assert dz2 >= 0.0 and dz3 >= 0.0
-        dz2_scaled, dz3_scaled = correlated_increments(tr, *(2.0 * x for x in dz))
+        dz2_scaled, dz3_scaled = tr.correlated_increments(*(2.0 * x for x in dz))
         assert dz2_scaled == pytest.approx(2.0 * dz2, rel=1e-12)
         assert dz3_scaled == pytest.approx(2.0 * dz3, rel=1e-12)
 
@@ -191,12 +186,12 @@ class TestCorrelatedTriple:
     def test_derived_cumulants_combine_components(self):
         tr = CorrelatedTriple(0.3, 0.7, GAMMA_11, SubordinatorSpec(Family.GAMMA, 2.0, 3.0), ZERO)
         for n in range(1, 5):
-            expected = 0.3**n * cumulant(GAMMA_11, n) + (1 - 0.09) ** (n / 2) * cumulant(
-                SubordinatorSpec(Family.GAMMA, 2.0, 3.0), n
-            )
+            expected = 0.3**n * GAMMA_11.cumulant(n) + (1 - 0.09) ** (n / 2) * SubordinatorSpec(
+                Family.GAMMA, 2.0, 3.0
+            ).cumulant(n)
             assert tr.derived_cumulant(2, n) == pytest.approx(expected, rel=1e-14)
             assert tr.derived_cumulant(3, n) == pytest.approx(
-                0.7**n * cumulant(GAMMA_11, n), rel=1e-14
+                0.7**n * GAMMA_11.cumulant(n), rel=1e-14
             )
 
     def test_derived_cgf_consistent_with_derived_cumulants(self):
@@ -219,17 +214,17 @@ class TestCorrelatedTriple:
 class TestStationaryVolCorrelations:
     def test_identical_processes_fully_correlated(self):
         tr = CorrelatedTriple(1.0, 1.0, GAMMA_11, ZERO, ZERO)
-        assert stationary_vol_correlations(tr) == pytest.approx((1.0, 1.0, 1.0))
+        assert tr.stationary_vol_correlations() == pytest.approx((1.0, 1.0, 1.0))
 
     def test_independent_base_decorrelates(self):
         tr = CorrelatedTriple(0.0, 0.5, GAMMA_11, GAMMA_11, GAMMA_11)
-        rho12, _, rho23 = stationary_vol_correlations(tr)
+        rho12, _, rho23 = tr.stationary_vol_correlations()
         assert rho12 == 0.0
         assert rho23 == 0.0
 
     def test_values_in_unit_interval(self):
         tr = CorrelatedTriple(0.5, 0.5, GAMMA_11, GAMMA_11, GAMMA_11)
-        for rho in stationary_vol_correlations(tr):
+        for rho in tr.stationary_vol_correlations():
             assert 0.0 <= rho <= 1.0
 
     @given(
@@ -241,7 +236,7 @@ class TestStationaryVolCorrelations:
     def test_monotone_in_mixing_levels(self, r2, r3, bump):
         def corr(r2_, r3_):
             tr = CorrelatedTriple(r2_, r3_, GAMMA_11, GAMMA_11, GAMMA_11)
-            return stationary_vol_correlations(tr)
+            return tr.stationary_vol_correlations()
 
         base = corr(r2, r3)
         up2 = corr(min(r2 + bump, 1.0), r3)
@@ -254,7 +249,7 @@ class TestStationaryVolCorrelations:
     def test_degenerate_derived_law_rejected(self):
         tr = CorrelatedTriple(0.0, 0.5, GAMMA_11, ZERO, GAMMA_11)
         with pytest.raises(DegenerateLawError):
-            stationary_vol_correlations(tr)
+            tr.stationary_vol_correlations()
 
 
 class TestSerialization:
