@@ -109,130 +109,87 @@ class _PairSeriesEngine:
 
     Each variance is written over the independent integrals as
 
-        sigma_i^2(t) = e^(-lam t) (sigma_i0^2 + a_i Y1 + b_i Yc_i),
+        sigma_i^2(t) = X_i + a_i Y,  X_i = e^(-lam t) (sigma_i0^2 + b_i Yc_i),
+        Y = e^(-lam t) Y1,
 
     with (a, b) = (1, 0) for the base asset, (r2, sqrt(1-r2^2)) and
-    (r3, sqrt(1-r3^2)) for the mixed ones, and the product moments expand
-    over the two multinomials,
+    (r3, sqrt(1-r3^2)) for the mixed ones.  X_i, X_j and Y are independent,
+    so binomial expansion of both factors gives
 
-        M_p = sum  mult(p; qa, qb, qc) mult(p; qd, qe, qf)
-              sh_i^qa a_i^qb b_i^qc sh_j^qd a_j^qe b_j^qf
-              E[Y1^(qb+qe)] E[Yc_i^qc] E[Yc_j^qf].
+        M_p = sum_{q,r=0..p} C(p,q) C(p,r) a_i^q a_j^r
+              G_i[p-q] G_j[p-r] E[Y^(q+r)],   G_i[n] = E[X_i^n],
 
-    Every coefficient is nonnegative, so the assembly is stable for any
-    parameter values.  (The equivalent factorization that isolates the
-    independent legs behind shifted variables cancels catastrophically when
-    the shifts are large against the product scale.)
+    where G_i, G_j and the moments of Y are three columns of one moment table
+    and E[Y^(q+r)] is a Hankel gather of the Y column.  Every term is
+    nonnegative, so the assembly is stable for any parameter values.  (The
+    factorization that isolates the legs behind shifted variables, kept in
+    tests/legs.py, cancels catastrophically when the shifts are large against
+    the product scale.)  Times come as arrays; the work is O(kmax^3) per node,
+    against O(kmax^5) for the expansion over both multinomials.
     """
 
     def __init__(self, params: ModelParams, pair, kmax: int):
-        self.params = params
-        self.pair = _pair_index(pair)
         self.kmax = kmax
         self.lam = params.lam
         tr = params.triple
         K = kmax
+        orders = np.arange(1, 2 * K + 1)
+        p, q = np.indices((K + 1, K + 1))
+        binom = np.array([[math.comb(n, k) for k in range(K + 1)] for n in range(K + 1)])
+        # table columns: Y, then X_i and X_j (cumulants b^n kappa_n(Zc), shift sigma0^2)
+        columns, self.shifts, self.weights = [tr.z1.cumulant_sequence(2 * K)], [0.0], []
+        for asset in _pair_index(pair):
+            a, b, comp = tr._mix(asset + 1)
+            columns.append(b**orders * comp.cumulant_sequence(2 * K))
+            self.shifts.append(params.assets[asset].sigma0_sq)
+            self.weights.append(binom * a**q)  # C(p, q) a^q, zero for q > p
+        self.cumulants = np.stack(columns, axis=1)
+        self.lag = np.maximum(p - q, 0)  # G[p - q]
+        self.hankel = p + q              # E[Y^(q + r)]
 
-        def leg_mix(asset: int):
-            if asset == 0:
-                return 1.0, 0.0, None
-            if asset == 1:
-                return tr.r2, math.sqrt(1.0 - tr.r2**2), tr.z_star
-            return tr.r3, math.sqrt(1.0 - tr.r3**2), tr.z_star_star
-
-        i, j = self.pair
-        a_i, b_i, comp_i = leg_mix(i)
-        a_j, b_j, comp_j = leg_mix(j)
-        self.shifts = (params.assets[i].sigma0_sq, params.assets[j].sigma0_sq)
-        self.cum_base = tr.z1.cumulant_sequence(max(2 * K, 1))
-        self.cum_i = comp_i.cumulant_sequence(max(K, 1)) if comp_i is not None else None
-        self.cum_j = comp_j.cumulant_sequence(max(K, 1)) if comp_j is not None else None
-
-        per_p = []
-        for p in range(K + 1):
-            coefs, e_sh_i, e_sh_j, i_base, i_ci, i_cj = [], [], [], [], [], []
-            for qa in range(p + 1):
-                for qb in range(p - qa + 1):
-                    qc = p - qa - qb
-                    if qc > 0 and b_i == 0.0:
-                        continue
-                    left = math.comb(p, qa) * math.comb(p - qa, qb) * a_i**qb * b_i**qc
-                    for qd in range(p + 1):
-                        for qe in range(p - qd + 1):
-                            qf = p - qd - qe
-                            if qf > 0 and b_j == 0.0:
-                                continue
-                            right = math.comb(p, qd) * math.comb(p - qd, qe) * a_j**qe * b_j**qf
-                            coefs.append(left * right)
-                            e_sh_i.append(qa)
-                            e_sh_j.append(qd)
-                            i_base.append(qb + qe)
-                            i_ci.append(qc)
-                            i_cj.append(qf)
-            per_p.append(
-                (
-                    np.array(coefs),
-                    np.array(e_sh_i),
-                    np.array(e_sh_j),
-                    np.array(i_base),
-                    np.array(i_ci),
-                    np.array(i_cj),
-                )
-            )
-        self.per_p = per_p
-
-    def product_moments(self, t: float) -> np.ndarray:
-        """M_p = E[(sigma_i^2 sigma_j^2)_t^p] for p = 0..kmax (time-scaled units)."""
-        K, lam = self.kmax, self.lam
-        decay = math.exp(-lam * t)
-        sh_i = self.shifts[0] * decay
-        sh_j = self.shifts[1] * decay
-        e_base = scaled_moment_table(self.cum_base, 0.0, lam, t, 2 * K)
-        ones = np.zeros(K + 1)
-        ones[0] = 1.0
-        e_ci = scaled_moment_table(self.cum_i, 0.0, lam, t, K) if self.cum_i is not None else ones
-        e_cj = scaled_moment_table(self.cum_j, 0.0, lam, t, K) if self.cum_j is not None else ones
-        pow_i = sh_i ** np.arange(K + 1)
-        pow_j = sh_j ** np.arange(K + 1)
-        M = np.empty(K + 1)
-        for p in range(K + 1):
-            coefs, e_sh_i, e_sh_j, i_base, i_ci, i_cj = self.per_p[p]
-            M[p] = float(
-                coefs
-                @ (pow_i[e_sh_i] * pow_j[e_sh_j] * e_base[i_base] * e_ci[i_ci] * e_cj[i_cj])
-            )
-        return M
+    def product_moments(self, t) -> np.ndarray:
+        """M_p = E[(sigma_i^2 sigma_j^2)_t^p] for p = 0..kmax (time-scaled
+        units), at one time or an array of times; shape (kmax + 1,) + shape(t)."""
+        K = self.kmax
+        times = np.asarray(t, dtype=float).reshape(-1)
+        table = scaled_moment_table(self.cumulants, self.shifts, self.lam, times, 2 * K).T
+        w_i, w_j = self.weights
+        u_i = w_i * table[:, 1, self.lag]
+        u_j = w_j * table[:, 2, self.lag]
+        # M_p = sum_q u_i[p, q] sum_r u_j[p, r] E[Y^(q+r)]
+        M = (u_i * (u_j @ table[:, 0, self.hankel])).sum(axis=-1)
+        return M.T.reshape((K + 1,) + np.shape(t))
 
 
-def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: float, center_sq) -> float:
-    """E[sigma_i sigma_j](t) from the truncated expansion."""
+def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray, center_sq):
+    """(M_p / C^(2p) for p = 0..kmax, C, M_1, and whether M_1 is below
+    _TINY_PRODUCT) at an array of times, for the center C^2 (None: M_1)."""
     M = engine.product_moments(t)
     m2 = M[1]
-    if m2 < _TINY_PRODUCT:
-        return math.sqrt(max(m2, 0.0))
-    c2 = m2 if center_sq is None else center_sq
-    Mn = M / c2 ** np.arange(engine.kmax + 1)
-    return math.sqrt(c2) * float(weights @ Mn)
+    tiny = m2 < _TINY_PRODUCT
+    c2 = np.where(tiny, 1.0, m2 if center_sq is None else center_sq)
+    return M / c2 ** np.arange(engine.kmax + 1)[:, None], np.sqrt(c2), m2, tiny
 
 
-def _series_tail(engine: _PairSeriesEngine, coeffs: np.ndarray, t: float, center_sq) -> tuple[float, float]:
-    """(value of the last retained term, value of the full sum) at time t."""
-    M = engine.product_moments(t)
-    m2 = M[1]
-    if m2 < _TINY_PRODUCT:
-        return 0.0, math.sqrt(max(m2, 0.0))
-    c2 = m2 if center_sq is None else center_sq
-    Mn = M / c2 ** np.arange(engine.kmax + 1)
-    kmax = engine.kmax
-    total = 0.0
-    last = 0.0
-    for k in range(kmax + 1):
-        exk = sum(math.comb(k, p) * (-1) ** (k - p) * Mn[p] for p in range(k + 1))
-        term = coeffs[k] * exk
-        total += term
-        if k == kmax:
-            last = term
-    return math.sqrt(c2) * last, math.sqrt(c2) * total
+def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray, center_sq) -> np.ndarray:
+    """E[sigma_i sigma_j] from the truncated expansion at an array of times."""
+    Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
+    # summed in order p = 0..kmax at every node, so a node's value does not
+    # depend on the other nodes of the call (a matrix-vector product's would)
+    value = np.cumsum(weights[:, None] * Mn, axis=0)[-1]
+    return np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * value)
+
+
+def _series_tail(engine: _PairSeriesEngine, coeffs: np.ndarray, t: np.ndarray, center_sq) -> tuple:
+    """(value of the last retained term, value of the full sum) at an array of times."""
+    Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
+    K = engine.kmax
+    # E[x^k] = sum_p C(k, p) (-1)^(k-p) E[(1 + x)^p], x the centered argument
+    signed = np.array([[math.comb(k, p) * (-1) ** (k - p) for p in range(K + 1)] for k in range(K + 1)])
+    terms = coeffs[:, None] * (signed @ Mn)
+    last = np.where(tiny, 0.0, root * terms[-1])
+    total = np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * terms.sum(axis=0))
+    return last, total
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +261,23 @@ def expected_cov_series(
                 "|argument| must be < 1"
             )
 
-    def integrand(t: float) -> float:
+    evals = 0
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += t.size
         return _series_point(engine, weights, t, center_sq)
 
     value, err = adaptive_simpson(integrand, 0.0, T)
     jump = _jump_term(params, i, j, jump_convention)
 
-    probes = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, T]
-    tail = 0.0
-    for tp in probes:
-        last, total = _series_tail(engine, coeffs, tp, center_sq)
-        if total != 0.0:
-            tail = max(tail, abs(last) / abs(total))
+    last, total = _series_tail(engine, coeffs, np.linspace(0.0, T, 5), center_sq)
+    nonzero = total != 0.0
+    tail = float(np.max(np.abs(last[nonzero]) / np.abs(total[nonzero]), initial=0.0))
     diag = {
         "quad_error": abs(gamma_ij) * err / T,
-        "series_tail": float(tail),
+        "evals": evals,
+        "series_tail": tail,
         "kmax": kmax,
         "jump_term": jump,
     }
@@ -331,98 +290,50 @@ def expected_cov_series(
 # delta-expansion route
 # ---------------------------------------------------------------------------
 
-def _product_mean_and_variance(params: ModelParams, pair, t: float) -> tuple[float, float]:
-    """Mean and variance of the scaled product sigma_i^2 sigma_j^2 at time t.
+#: exponents of (Y1, Yi, Yj) in the monomials Y1, Yi, Yj, Y1^2, Y1 Yi, Y1 Yj,
+#: Yi Yj of the product sigma_i^2 sigma_j^2
+_MONOMIALS = np.array([[1, 0, 0, 2, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1]])
 
-    The product is a quadratic form in the independent exponential integrals
-    Y1 = Y(Z1), Y2 = Y(Z*), Y3 = Y(Z**); its variance expands over the full
-    covariance table of {Y1, Y2, Y3, Y1^2, Y1Y3, Y1Y2, Y2Y3}, which needs leg
-    moments up to order four only.
+
+class _PairApproxEngine:
+    """Mean and variance of the scaled product P = sigma_i^2 sigma_j^2.
+
+    With sigma_k^2 = x_k + a_k Y1 + b_k Yk (x_k = e^(-lam t) sigma_k0^2, Y1
+    and Yk the time-scaled exponential integrals of Z1 and of asset k's own
+    component, b = 0 for the base asset), P = x_i x_j + sum_f k_f F_f over
+    the monomials F of _MONOMIALS in the independent Y1, Yi, Yj.  Then
+    E P = x_i x_j + sum_f k_f E F_f and Var P = sum_fg k_f k_g Cov(F_f, F_g),
+    where E[F_f F_g] factors over the three legs; leg moments up to order
+    four suffice.
     """
-    i, j = _pair_index(pair)
-    tr, lam = params.triple, params.lam
-    decay = math.exp(-lam * t)
-    mY1 = scaled_moment_table(tr.z1.cumulant_sequence(4), 0.0, lam, t, 4)
-    mY2 = scaled_moment_table(tr.z_star.cumulant_sequence(4), 0.0, lam, t, 4)
-    mY3 = scaled_moment_table(tr.z_star_star.cumulant_sequence(4), 0.0, lam, t, 4)
-    E1, E1s, E1c, E1q = mY1[1], mY1[2], mY1[3], mY1[4]
-    E2, E2s = mY2[1], mY2[2]
-    E3, E3s = mY3[1], mY3[2]
-    V1 = E1s - E1 * E1
-    V2 = E2s - E2 * E2
-    V3 = E3s - E3 * E3
-    var_Y1sq = E1q - E1s * E1s
-    cov_Y1_Y1sq = E1c - E1 * E1s
-    cov_Y1sq_Y1Yc = {2: E2 * (E1c - E1s * E1), 3: E3 * (E1c - E1s * E1)}
-    var_Y1Yc = {2: E1s * E2s - E1 * E1 * E2 * E2, 3: E1s * E3s - E1 * E1 * E3 * E3}
 
-    if (i, j) != (1, 2):
-        other = j if i == 0 else i
-        r = tr.r2 if other == 1 else tr.r3
-        which = 2 if other == 1 else 3
-        s = math.sqrt(1.0 - r * r)
-        Ec, Ecs = (E2, E2s) if which == 2 else (E3, E3s)
-        Vc = Ecs - Ec * Ec
-        sh_base = params.assets[0].sigma0_sq * decay
-        sh_other = params.assets[other].sigma0_sq * decay
-        # product = c0 + b1 Y1 + b2 Yc + b3 Y1^2 + b4 Y1 Yc
-        c0 = sh_base * sh_other
-        b1 = sh_other + r * sh_base
-        b2 = s * sh_base
-        b3 = r
-        b4 = s
-        mean = c0 + b1 * E1 + b2 * Ec + b3 * E1s + b4 * E1 * Ec
-        var = (
-            b1 * b1 * V1
-            + b2 * b2 * Vc
-            + b3 * b3 * var_Y1sq
-            + b4 * b4 * var_Y1Yc[which]
-            + 2 * b1 * b3 * cov_Y1_Y1sq
-            + 2 * b1 * b4 * V1 * Ec
-            + 2 * b2 * b4 * Vc * E1
-            + 2 * b3 * b4 * cov_Y1sq_Y1Yc[which]
+    def __init__(self, params: ModelParams, pair):
+        tr = params.triple
+        self.lam = params.lam
+        (x_i, a_i, b_i, comp_i), (x_j, a_j, b_j, comp_j) = (
+            (params.assets[k].sigma0_sq,) + tr._mix(k + 1) for k in _pair_index(pair)
         )
-        return mean, var
+        self.cumulants = np.stack([d.cumulant_sequence(4) for d in (tr.z1, comp_i, comp_j)], axis=1)
+        self.c0 = x_i * x_j
+        # k = k_fixed + e^(-lam t) k_decay, in the order of _MONOMIALS
+        self.k_fixed = np.array([0.0, 0.0, 0.0, a_i * a_j, a_j * b_i, a_i * b_j, b_i * b_j])[:, None]
+        self.k_decay = np.array([x_i * a_j + x_j * a_i, x_j * b_i, x_i * b_j, 0.0, 0.0, 0.0, 0.0])[:, None]
+        legs = np.arange(3)
+        self.single = (_MONOMIALS, legs[:, None])
+        self.double = (_MONOMIALS[:, :, None] + _MONOMIALS[:, None, :], legs[:, None, None])
 
-    # pair (1, 2): both variances mix the base driver
-    r2, r3 = tr.r2, tr.r3
-    s2 = math.sqrt(1.0 - r2 * r2)
-    s3 = math.sqrt(1.0 - r3 * r3)
-    shA = params.assets[1].sigma0_sq * decay
-    shB = params.assets[2].sigma0_sq * decay
-    # product = c0 + a1 Y1 + a2 Y3 + a3 Y2 + a4 Y1^2 + a5 Y1Y3 + a6 Y1Y2 + a7 Y2Y3
-    c0 = shA * shB
-    a1 = shA * r3 + shB * r2
-    a2 = shA * s3
-    a3 = shB * s2
-    a4 = r2 * r3
-    a5 = r2 * s3
-    a6 = r3 * s2
-    a7 = s2 * s3
-    mean = c0 + a1 * E1 + a2 * E3 + a3 * E2 + a4 * E1s + a5 * E1 * E3 + a6 * E1 * E2 + a7 * E2 * E3
-    var_Y2Y3 = E2s * E3s - E2 * E2 * E3 * E3
-    var = (
-        a1 * a1 * V1
-        + a2 * a2 * V3
-        + a3 * a3 * V2
-        + a4 * a4 * var_Y1sq
-        + a5 * a5 * var_Y1Yc[3]
-        + a6 * a6 * var_Y1Yc[2]
-        + a7 * a7 * var_Y2Y3
-        + 2 * a1 * a4 * cov_Y1_Y1sq
-        + 2 * a1 * a5 * V1 * E3
-        + 2 * a1 * a6 * V1 * E2
-        + 2 * a2 * a5 * V3 * E1
-        + 2 * a2 * a7 * V3 * E2
-        + 2 * a3 * a6 * V2 * E1
-        + 2 * a3 * a7 * V2 * E3
-        + 2 * a4 * a5 * cov_Y1sq_Y1Yc[3]
-        + 2 * a4 * a6 * cov_Y1sq_Y1Yc[2]
-        + 2 * a5 * a6 * E2 * E3 * V1
-        + 2 * a5 * a7 * E1 * E2 * V3
-        + 2 * a6 * a7 * E1 * E3 * V2
-    )
-    return mean, var
+    def mean_and_variance(self, t) -> tuple:
+        """(E P, Var P) at one time or an array of times."""
+        times = np.asarray(t, dtype=float).reshape(-1)
+        decay = np.exp(-self.lam * times)
+        table = scaled_moment_table(self.cumulants, 0.0, self.lam, times, 4)
+        mean_f = table[self.single].prod(axis=0)
+        cov = table[self.double].prod(axis=0) - mean_f[:, None] * mean_f[None, :]
+        k = self.k_fixed + self.k_decay * decay
+        # sums in a fixed order at every node, independent of the other nodes
+        mean = self.c0 * decay * decay + np.cumsum(k * mean_f, axis=0)[-1]
+        var = np.cumsum((k[:, None] * k[None, :] * cov).reshape(-1, len(times)), axis=0)[-1]
+        return mean.reshape(np.shape(t)), var.reshape(np.shape(t))
 
 
 def expected_cov_approx(
@@ -436,18 +347,26 @@ def expected_cov_approx(
     T = params.horizon
     gamma_ij = float(params.gamma[i, j])
 
-    def integrand(t: float) -> float:
-        m, v = _product_mean_and_variance(params, (i, j), t)
-        if m < 0.0 or (m == 0.0 and v > 0.0):
-            raise NumericalError(f"nonpositive product mean {m} at t={t}")
-        if m < _TINY_PRODUCT:
-            return math.sqrt(max(m, 0.0))
-        return math.sqrt(m) - v / (8.0 * m**1.5)
+    engine = _PairApproxEngine(params, (i, j))
+    evals = 0
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += t.size
+        m, v = engine.mean_and_variance(t)
+        bad = (m < 0.0) | ((m == 0.0) & (v > 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NumericalError(f"nonpositive product mean {m[k]} at t={t[k]}")
+        tiny = m < _TINY_PRODUCT
+        m_safe = np.where(tiny, 1.0, m)
+        return np.where(tiny, np.sqrt(np.maximum(m, 0.0)), np.sqrt(m_safe) - v / (8.0 * m_safe**1.5))
 
     value, err = adaptive_simpson(integrand, 0.0, T)
     jump = _jump_term(params, i, j, jump_convention)
     return gamma_ij * value / T + jump, {
         "quad_error": abs(gamma_ij) * err / T,
+        "evals": evals,
         "jump_term": jump,
     }
 

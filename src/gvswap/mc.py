@@ -80,22 +80,25 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 
 def _variance_path(sigma0_sq: float, increments: np.ndarray, decay_step: np.ndarray,
-                   grow: np.ndarray, weight: float) -> np.ndarray:
+                   grow: np.ndarray, weight: float, offset: float) -> np.ndarray:
     """sigma^2 at grid points 0..n from the recursion s_{k+1} = d s_k + w dZ_k.
 
     Unrolling gives s_{start+l} = d^l (s_start + w sum_{j<l} d^{-(j+1)} dZ_j);
     evaluated segment-wise through cumulative sums so the exponentials stay in
-    range for any lam * T.
+    range for any lam * T.  The exponents of grow and decay_step are shifted
+    by -offset and +offset (offset = lam * dt when a single step exceeds
+    _MAX_SCAN_EXPONENT, else 0), and s_start is scaled by e^(-offset) to match.
     """
     n = len(increments)
     seg = len(grow)
+    start_scale = math.exp(-offset)
     out = np.empty(n + 1)
     out[0] = sigma0_sq
     for start in range(0, n, seg):
         stop = min(start + seg, n)
         m = stop - start
         c = np.cumsum(grow[:m] * increments[start:stop])
-        out[start + 1: stop + 1] = decay_step[:m] * (out[start] + weight * c)
+        out[start + 1: stop + 1] = decay_step[:m] * (out[start] * start_scale + weight * c)
     return out
 
 
@@ -128,8 +131,12 @@ def simulate(params: ModelParams, config: SimulationConfig) -> PathBundle:
             ) from exc
 
     seg = max(1, min(_SCAN_SEGMENT, n_steps, int(_MAX_SCAN_EXPONENT / lam_dt)))
-    grow = np.exp(lam_dt * np.arange(1, seg + 1))
-    decay_step = np.exp(-lam_dt * np.arange(1, seg + 1))
+    # a step too long for the cap is one segment; its exponents are taken
+    # relative to its end, so none is positive
+    offset = lam_dt if lam_dt > _MAX_SCAN_EXPONENT else 0.0
+    exponents = lam_dt * np.arange(1, seg + 1)
+    grow = np.exp(exponents - offset)
+    decay_step = np.exp(offset - exponents)
     sqrt_dt = math.sqrt(dt)
     sigma0 = params.sigma0_sq
 
@@ -159,7 +166,7 @@ def simulate(params: ModelParams, config: SimulationConfig) -> PathBundle:
 
         s_sq = np.empty((3, n_steps + 1))
         for i, dzi in enumerate((dz1, dz2, dz3)):
-            s_sq[i] = _variance_path(sigma0[i], dzi, decay_step, grow, weight)
+            s_sq[i] = _variance_path(sigma0[i], dzi, decay_step, grow, weight, offset)
         s_left = np.sqrt(s_sq[:, :-1])
         jumps_sq = float(dz1 @ dz1)
 

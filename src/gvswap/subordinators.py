@@ -168,11 +168,15 @@ class CorrelatedTriple:
             raise ParameterError(f"mixing levels must lie in [0, 1], got r2={self.r2}, r3={self.r3}")
 
     def _mix(self, which: int) -> tuple[float, float, SubordinatorSpec]:
+        """(r, sqrt(1 - r^2), own component) of driver `which`; (1, 0, Z1) for
+        the base driver, whose own component is unused."""
+        if which == 1:
+            return 1.0, 0.0, self.z1
         if which == 2:
             return self.r2, math.sqrt(1.0 - self.r2**2), self.z_star
         if which == 3:
             return self.r3, math.sqrt(1.0 - self.r3**2), self.z_star_star
-        raise ParameterError(f"derived driver index must be 2 or 3, got {which}")
+        raise ParameterError(f"driver index must be 1, 2 or 3, got {which}")
 
     def derived_cumulant(self, which: int, n: int) -> float:
         """kappa_n of Z2 (which=2) or Z3 (which=3); which=1 returns the base cumulant."""

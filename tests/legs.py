@@ -1,12 +1,15 @@
-"""Factorized leg products of the covariance series: the exact reference for
-the product moments of `covariance._PairSeriesEngine` above order 2.
+"""References for the product moments of `covariance._PairSeriesEngine`.
 
-Each leg is shift + Y(driver), with the driver taken from the model's
-correlated triple, and the product moments of a pair factor over independent
-legs.  The engine regroups the same sums with nonnegative coefficients; this
-factorized form cancels catastrophically when the shifts are large against
-the product scale, so it serves only as a test reference where it is well
-conditioned.
+Factorized leg products: each leg is shift + Y(driver), with the driver taken
+from the model's correlated triple, and the product moments of a pair factor
+over independent legs.  The engine regroups the same sums with nonnegative
+coefficients; this factorized form cancels catastrophically when the shifts
+are large against the product scale, so it serves only as a test reference
+where it is well conditioned.
+
+`multinomial_product_moments` is the engine's former assembly: both variances
+expanded over full multinomials, one scalar time at a time.  It has the same
+nonnegative terms as the engine, so it agrees to rounding everywhere.
 """
 
 import math
@@ -97,3 +100,61 @@ def series_leg_product_12(params, p: int, u: int, v: int, w: int, t: float) -> f
     mS = scaled_moment_table(dS.cumulant_sequence(max(p - v - w, 1)), shS, lam, t, p - v - w)
     scale = math.exp(((u + v) + (p - u + w) + (p - v - w)) * lam * t)
     return float(mF[u + v] * mG[p - u + w] * mS[p - v - w] * scale)
+
+
+def multinomial_product_moments(params, pair, kmax: int, t: float) -> np.ndarray:
+    """M_p = E[(sigma_i^2 sigma_j^2)_t^p], p = 0..kmax, in time-scaled units,
+    summed over the two multinomials
+
+        M_p = sum  mult(p; qa, qb, qc) mult(p; qd, qe, qf)
+              sh_i^qa a_i^qb b_i^qc sh_j^qd a_j^qe b_j^qf
+              E[Y1^(qb+qe)] E[Yc_i^qc] E[Yc_j^qf]
+
+    with sigma_k^2 = e^(-lam t) (sigma_k0^2 + a_k Y1 + b_k Yc_k).
+    """
+    tr = params.triple
+    lam = params.lam
+    K = kmax
+
+    def leg_mix(asset):
+        if asset == 0:
+            return 1.0, 0.0, None
+        if asset == 1:
+            return tr.r2, math.sqrt(1.0 - tr.r2**2), tr.z_star
+        return tr.r3, math.sqrt(1.0 - tr.r3**2), tr.z_star_star
+
+    i, j = _pair_index(pair)
+    a_i, b_i, comp_i = leg_mix(i)
+    a_j, b_j, comp_j = leg_mix(j)
+    decay = math.exp(-lam * t)
+    sh_i = params.assets[i].sigma0_sq * decay
+    sh_j = params.assets[j].sigma0_sq * decay
+    e_base = scaled_moment_table(tr.z1.cumulant_sequence(max(2 * K, 1)), 0.0, lam, t, 2 * K)
+    ones = np.zeros(K + 1)
+    ones[0] = 1.0
+
+    def table(comp):
+        if comp is None:
+            return ones
+        return scaled_moment_table(comp.cumulant_sequence(max(K, 1)), 0.0, lam, t, K)
+
+    e_ci, e_cj = table(comp_i), table(comp_j)
+    M = np.empty(K + 1)
+    for p in range(K + 1):
+        total = 0.0
+        for qa in range(p + 1):
+            for qb in range(p - qa + 1):
+                qc = p - qa - qb
+                if qc > 0 and b_i == 0.0:
+                    continue
+                left = math.comb(p, qa) * math.comb(p - qa, qb) * a_i**qb * b_i**qc
+                for qd in range(p + 1):
+                    for qe in range(p - qd + 1):
+                        qf = p - qd - qe
+                        if qf > 0 and b_j == 0.0:
+                            continue
+                        right = math.comb(p, qd) * math.comb(p - qd, qe) * a_j**qe * b_j**qf
+                        total += (left * right * sh_i**qa * sh_j**qd
+                                  * e_base[qb + qe] * e_ci[qc] * e_cj[qf])
+        M[p] = total
+    return M

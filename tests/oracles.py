@@ -63,6 +63,63 @@ def shifted_exp_integral_mgf(alpha, cgf, lam, t):
 
 
 # ---------------------------------------------------------------------------
+# scalar depth-first adaptive Simpson
+# ---------------------------------------------------------------------------
+
+def adaptive_simpson_depth_first(f, a: float, b: float, tol: float = None, max_depth: int = 40):
+    """The package's adaptive Simpson rule, one interval and one scalar node
+    at a time: (value, error estimate), or NumericalError past max_depth."""
+    from gvswap import NumericalError
+
+    if b < a:
+        raise NumericalError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
+    if a == b:
+        return 0.0, 0.0
+    if tol is None:
+        tol = 1e-10 * (b - a)
+
+    def simpson(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = simpson(fa, fm, fb, b - a)
+
+    total = 0.0
+    err_total = 0.0
+    depth_exceeded = False
+
+    # iterative stack of (a, b, fa, fm, fb, whole, tol, depth)
+    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
+    while stack:
+        a0, b0, f0, f1, f2, s0, tol0, depth = stack.pop()
+        m0 = 0.5 * (a0 + b0)
+        lm = 0.5 * (a0 + m0)
+        rm = 0.5 * (m0 + b0)
+        flm, frm = f(lm), f(rm)
+        s_left = simpson(f0, flm, f1, m0 - a0)
+        s_right = simpson(f1, frm, f2, b0 - m0)
+        err = (s_left + s_right - s0) / 15.0
+        if abs(err) <= tol0 or depth >= max_depth:
+            if abs(err) > tol0:
+                depth_exceeded = True
+            total += s_left + s_right + err
+            err_total += abs(err)
+        else:
+            stack.append((a0, m0, f0, flm, f1, s_left, 0.5 * tol0, depth + 1))
+            stack.append((m0, b0, f1, frm, f2, s_right, 0.5 * tol0, depth + 1))
+
+    if depth_exceeded:
+        raise NumericalError(
+            f"adaptive Simpson exceeded max depth {max_depth} (achieved error ~{err_total:.3e})",
+            best_value=total,
+            error_estimate=err_total,
+        )
+    return total, err_total
+
+
+# ---------------------------------------------------------------------------
 # path-simulation of the exponential integral
 # ---------------------------------------------------------------------------
 

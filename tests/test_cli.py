@@ -235,6 +235,24 @@ class TestVerify:
         )
         assert code in (EXIT_OK, EXIT_VERIFICATION)
 
+    def test_single_step_fast_mean_reversion_no_overflow(self, capsys, tmp_path):
+        # one step of lam * dt = 756 would overflow exp() in the scan itself
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        params["lambda"] = 3.0
+        path = tmp_path / "fast.json"
+        path.write_text(dumps_17(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelParams.from_json_dict(params)
+        bundle = simulate(model, SimulationConfig(n_paths=2, n_steps=1, seed=1))
+        assert np.all(np.isfinite(bundle.sigma_sq_terminal))
+        assert np.all(np.isfinite(bundle.realized))
+        for seed in (1, 7):
+            code, _, _ = run(
+                capsys, "verify", "--params", path, "--paths", 20, "--steps", 1, "--seed", seed
+            )
+            assert code in (EXIT_OK, EXIT_VERIFICATION)
+
     def test_tampered_params_exit_2(self, capsys, tmp_path):
         params = json.loads((FIXTURES / "base_params.json").read_text())
         params["lambda"] = -0.4

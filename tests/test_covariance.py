@@ -14,7 +14,7 @@ from gvswap import (
     expected_var_leg,
     sqrt_series_coefficients,
 )
-from gvswap.covariance import _product_mean_and_variance
+from gvswap.covariance import _PairApproxEngine
 
 from .conftest import make_params
 from .oracles import exact_sqrt_binomial
@@ -241,9 +241,37 @@ class TestEngineEquivalence:
                 assert scaled == pytest.approx(M[p], rel=1e-7)
 
 
+    @pytest.mark.parametrize(
+        "spec, r2",
+        [
+            (None, None),
+            (SubordinatorSpec(Family.INVERSE_GAUSSIAN, 0.0335, 670.0), None),
+            (SubordinatorSpec(Family.ZERO), None),
+            (None, 0.0),
+        ],
+        ids=["gamma", "ig", "zero", "r2=0"],
+    )
+    def test_factorized_engine_matches_multinomial_sums(self, spec, r2):
+        from gvswap.covariance import _PairSeriesEngine
+
+        from .legs import multinomial_product_moments
+
+        overrides = {k: v for k, v in (("spec", spec), ("r2", r2)) if v is not None}
+        params = make_params(**overrides)
+        times = np.array([0.0, 0.5, 10.0, 252.0])
+        for pair in [(0, 1), (1, 2), (2, 0)]:
+            engine = _PairSeriesEngine(params, pair, 8)
+            batch = engine.product_moments(times)
+            for k, t in enumerate(times):
+                want = multinomial_product_moments(params, pair, 8, t)
+                np.testing.assert_allclose(batch[:, k], want, rtol=1e-13, atol=0.0)
+                # one node-vector call equals the stacked scalar calls
+                assert np.array_equal(batch[:, k], engine.product_moments(t))
+
+
 class TestApproxRoute:
     def test_integrand_at_zero_is_initial_vol_product(self, base_params):
-        m, v = _product_mean_and_variance(base_params, (0, 1), 0.0)
+        m, v = _PairApproxEngine(base_params, (0, 1)).mean_and_variance(0.0)
         s0 = base_params.sigma0_sq
         assert m == pytest.approx(s0[0] * s0[1], rel=1e-14)
         assert v == pytest.approx(0.0, abs=1e-30)
@@ -256,7 +284,7 @@ class TestApproxRoute:
             engine = _PairSeriesEngine(base_params, pair, 2)
             for t in (0.5, 5.0, 50.0, 252.0):
                 m_engine = engine.product_moments(t)[1]
-                m_direct, _ = _product_mean_and_variance(base_params, pair, t)
+                m_direct, _ = _PairApproxEngine(base_params, pair).mean_and_variance(t)
                 assert m_direct == pytest.approx(m_engine, rel=1e-11)
 
     def test_product_variance_matches_series_second_moment(self, base_params):
@@ -267,7 +295,7 @@ class TestApproxRoute:
             for t in (0.5, 5.0, 50.0, 252.0):
                 m = engine.product_moments(t)
                 var_engine = m[2] - m[1] ** 2
-                _, var_direct = _product_mean_and_variance(base_params, pair, t)
+                _, var_direct = _PairApproxEngine(base_params, pair).mean_and_variance(t)
                 assert var_direct == pytest.approx(var_engine, rel=1e-9)
 
     def test_works_at_r2_zero(self):

@@ -1,26 +1,29 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvswap import NumericalError, adaptive_simpson
+from gvswap import NumericalError, adaptive_simpson, expected_cov_approx, expected_cov_series
+
+from .oracles import adaptive_simpson_depth_first
 
 
 def test_constant_exact():
-    value, err = adaptive_simpson(lambda t: 1.0, 0.0, 252.0)
+    value, err = adaptive_simpson(lambda t: np.ones_like(t), 0.0, 252.0)
     assert value == pytest.approx(252.0, abs=1e-12)
     assert err <= 1e-10 * 252.0
 
 
 def test_exponential_closed_form():
-    value, _ = adaptive_simpson(lambda t: math.exp(-0.4 * t), 0.0, 252.0, tol=1e-13)
+    value, _ = adaptive_simpson(lambda t: np.exp(-0.4 * t), 0.0, 252.0, tol=1e-13)
     want = (1.0 - math.exp(-0.4 * 252.0)) / 0.4
     assert value == pytest.approx(want, rel=1e-12)
 
 
 def test_exponential_default_tolerance():
-    value, err = adaptive_simpson(lambda t: math.exp(-0.4 * t), 0.0, 252.0)
+    value, err = adaptive_simpson(lambda t: np.exp(-0.4 * t), 0.0, 252.0)
     want = (1.0 - math.exp(-0.4 * 252.0)) / 0.4
     assert abs(value - want) <= 1e-10 * 252.0
     assert err <= 1e-10 * 252.0
@@ -56,9 +59,91 @@ def test_max_depth_carries_best_value():
 
 
 def test_tolerance_scales_error():
-    f = lambda t: math.sin(t) * math.exp(-t / 3.0)
+    f = lambda t: np.sin(t) * np.exp(-t / 3.0)
     want = 0.9 / (1 + 1 / 9) * 0  # not used; compare loose vs tight instead
     loose, err_loose = adaptive_simpson(f, 0.0, 10.0, tol=1e-4)
     tight, err_tight = adaptive_simpson(f, 0.0, 10.0, tol=1e-12)
     assert err_tight < err_loose or err_loose == 0.0
     assert loose == pytest.approx(tight, abs=2e-4)
+
+
+# ---------------------------------------------------------------------------
+# the batched rule against the scalar depth-first reference
+# ---------------------------------------------------------------------------
+
+def _outcome(rule, f, a, b, **kwargs):
+    """("ok", value, error) or ("depth", best value, error estimate)."""
+    try:
+        return ("ok",) + tuple(rule(f, a, b, **kwargs))
+    except NumericalError as exc:
+        return ("depth", exc.best_value, exc.error_estimate)
+
+
+def _both_rules(f, a, b, **kwargs):
+    """Outcome and sorted node list of the batched rule on the vectorized f
+    and of the reference on its one-node calls."""
+    batched_nodes, scalar_nodes = [], []
+
+    def batched(t):
+        batched_nodes.extend(t.tolist())
+        return f(t)
+
+    def scalar(t):
+        scalar_nodes.append(t)
+        return float(f(np.array([t]))[0])
+
+    got = _outcome(adaptive_simpson, batched, a, b, **kwargs)
+    want = _outcome(adaptive_simpson_depth_first, scalar, a, b, **kwargs)
+    return got, sorted(batched_nodes), want, sorted(scalar_nodes)
+
+
+def _assert_same(f, a, b, **kwargs):
+    got, got_nodes, want, want_nodes = _both_rules(f, a, b, **kwargs)
+    assert got_nodes == want_nodes
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
+    assert got[2] == pytest.approx(want[2], rel=1e-14, abs=0.0)
+    return got, want_nodes
+
+
+def _captured_integrand(monkeypatch, route, pair, params):
+    """(integrand, a, b) that `route` hands to the quadrature, and the
+    entry's diagnostics."""
+    import gvswap.covariance as covariance
+
+    seen = []
+    real = covariance.adaptive_simpson
+
+    def capture(f, a, b, *args, **kwargs):
+        seen.append((f, a, b))
+        return real(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(covariance, "adaptive_simpson", capture)
+    _, diag = route(pair, params)
+    monkeypatch.undo()
+    (f, a, b), = seen
+    return f, a, b, diag
+
+
+class TestBatchedMatchesDepthFirst:
+    def test_cubic(self):
+        _assert_same(lambda t: 2.0 * t**3 - t**2 + 3.0 * t + 1.0, 0.0, 2.0)
+
+    def test_exponential(self):
+        got, nodes = _assert_same(lambda t: np.exp(-0.4 * t), 0.0, 252.0)
+        assert got[0] == "ok" and len(nodes) > 64
+
+    def test_needle_past_max_depth(self):
+        # the midpoint sits on a spike far narrower than the depth-10 cells
+        needle = lambda t: np.exp(-(((t - 0.5) / 1e-6) ** 2))  # noqa: E731
+        got, _ = _assert_same(needle, 0.0, 1.0, tol=1e-12, max_depth=10)
+        assert got[0] == "depth"
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 0)])
+    @pytest.mark.parametrize("route", [expected_cov_series, expected_cov_approx])
+    def test_covariance_integrands(self, monkeypatch, base_params, route, pair):
+        f, a, b, diag = _captured_integrand(monkeypatch, route, pair, base_params)
+        _, nodes = _assert_same(f, a, b)
+        # the entry's node count is the reference's, and repeats exactly
+        assert diag["evals"] == len(nodes)
+        assert route(pair, base_params)[1]["evals"] == diag["evals"]
