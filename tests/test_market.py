@@ -8,17 +8,15 @@ import pytest
 from gvswap import (
     EstimationError,
     Family,
-    SimulationConfig,
     descriptive_stats,
     estimate_params,
     load_prices,
     refcase,
-    simulate,
 )
 from gvswap.market import ReturnSeries
 
 from .conftest import FIXTURES, make_params
-from .oracles import plain_stats
+from .oracles import ReferenceConfig, plain_stats, simulate_reference
 
 
 def write_csv(path, rows, header="date,asset1,asset2,asset3"):
@@ -164,8 +162,8 @@ class TestEstimateParams:
             gamma=np.array([[1.0, 0.45, 0.1], [0.45, 1.0, 0.25], [0.1, 0.25, 1.0]]),
             horizon=10000.0,
         )
-        config = SimulationConfig(n_paths=1, n_steps=10000, seed=314, keep_paths=True)
-        bundle = simulate(params_true, config)
+        config = ReferenceConfig(n_paths=1, n_steps=10000, seed=314, keep_paths=True)
+        bundle = simulate_reference(params_true, config)
         x = bundle.trajectories["log_price"][0]
         prices = 100.0 * np.exp(x)
         series = tuple(

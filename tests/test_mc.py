@@ -11,12 +11,15 @@ from gvswap import (
     SwapContract,
     SwapKind,
     expected_cov_matrix,
+    mc,
     mc_expected_cov,
     mc_price,
+    refcase,
     simulate,
 )
 
 from .conftest import make_params
+from .oracles import ReferenceConfig, simulate_reference
 
 
 def zero_model(sigma0_sq=(0.0, 0.0, 0.0), rho=(0.0, 0.0, 0.0)):
@@ -65,7 +68,8 @@ class TestReproducibility:
         b1 = simulate(base_params, config)
         b2 = simulate(base_params, config)
         assert np.array_equal(b1.realized, b2.realized)
-        assert np.array_equal(b1.x_terminal, b2.x_terminal)
+        assert np.array_equal(b1.sigma_sq_terminal, b2.sigma_sq_terminal)
+        assert np.array_equal(b1.jump_square_sum, b2.jump_square_sum)
 
     def test_partition_independent(self, base_params):
         c_small = SimulationConfig(n_paths=3, n_steps=64, seed=9)
@@ -73,7 +77,8 @@ class TestReproducibility:
         b_small = simulate(base_params, c_small)
         b_large = simulate(base_params, c_large)
         assert np.array_equal(b_small.realized, b_large.realized[:3])
-        assert np.array_equal(b_small.x_terminal, b_large.x_terminal[:3])
+        assert np.array_equal(b_small.sigma_sq_terminal, b_large.sigma_sq_terminal[:3])
+        assert np.array_equal(b_small.jump_square_sum, b_large.jump_square_sum[:3])
 
     def test_seed_changes_results(self, base_params):
         b1 = simulate(base_params, SimulationConfig(n_paths=4, n_steps=64, seed=1))
@@ -83,28 +88,24 @@ class TestReproducibility:
 
 class TestPathProperties:
     def test_variance_nonnegative_everywhere(self, base_params):
-        config = SimulationConfig(n_paths=16, n_steps=256, seed=5, keep_paths=True)
-        bundle = simulate(base_params, config)
+        config = ReferenceConfig(n_paths=16, n_steps=256, seed=5, keep_paths=True)
+        bundle = simulate_reference(base_params, config)
         assert np.all(bundle.trajectories["sigma_sq"] >= 0.0)
         assert np.all(bundle.realized[:, [0, 1, 2], [0, 1, 2]] >= 0.0)
 
     def test_increments_stored_under_keep_paths(self, base_params):
-        config = SimulationConfig(n_paths=2, n_steps=32, seed=5, keep_paths=True)
-        bundle = simulate(base_params, config)
+        config = ReferenceConfig(n_paths=2, n_steps=32, seed=5, keep_paths=True)
+        bundle = simulate_reference(base_params, config)
         assert bundle.trajectories["increments"].shape == (2, 32, 3)
         assert np.all(bundle.trajectories["increments"] >= 0.0)
         assert bundle.trajectories["log_price"].shape == (2, 33, 3)
-
-    def test_trajectories_absent_by_default(self, base_params):
-        bundle = simulate(base_params, SimulationConfig(n_paths=2, n_steps=32, seed=5))
-        assert bundle.trajectories is None
 
     def test_martingale_sanity_no_leverage_no_jumps(self):
         # with rho = 0 and zero drivers: E[X_T] = (r - sigma^2(t)/2 averaged) T
         params = zero_model(sigma0_sq=(1e-4, 2e-4, 3e-4))
         n_steps = 252
-        config = SimulationConfig(n_paths=4000, n_steps=n_steps, seed=11)
-        bundle = simulate(params, config)
+        config = ReferenceConfig(n_paths=4000, n_steps=n_steps, seed=11)
+        bundle = simulate_reference(params, config)
         lam, T = params.lam, params.horizon
         dt = T / n_steps
         ts = dt * np.arange(n_steps)
@@ -122,23 +123,31 @@ class TestPathProperties:
             simulate(params, SimulationConfig(n_paths=1, n_steps=8, seed=0))
 
 
-class TestAntithetic:
-    def test_requires_even_paths(self):
-        with pytest.raises(ParameterError):
-            SimulationConfig(n_paths=3, n_steps=8, seed=0, antithetic=True)
+class TestBlockMatchesReference:
+    """The block scan reproduces the per-path reference bitwise."""
 
-    def test_twins_share_variance_paths(self, base_params):
-        config = SimulationConfig(n_paths=8, n_steps=64, seed=3, antithetic=True)
-        bundle = simulate(base_params, config)
-        assert np.array_equal(bundle.realized[0::2], bundle.realized[1::2])
-        assert not np.array_equal(bundle.x_terminal[0::2], bundle.x_terminal[1::2])
-
-    def test_stderr_uses_pair_units(self, base_params):
-        config = SimulationConfig(n_paths=64, n_steps=32, seed=3, antithetic=True)
-        cov = mc_expected_cov(base_params, config)
-        plain = mc_expected_cov(base_params, SimulationConfig(n_paths=64, n_steps=32, seed=3))
-        assert np.all(np.array(cov.diagnostics["stderr"]) >= 0.0)
-        assert cov.diagnostics["n_paths"] == 64
+    @pytest.mark.parametrize(
+        "overrides, n_paths, n_steps",
+        [
+            ({"rho": refcase.RHO}, 7, 300),
+            ({"rho": refcase.RHO}, 2 * mc._BLOCK + 1, 64),
+            ({"rho": refcase.RHO}, 3, 1100),
+            ({"rho": refcase.RHO, "lam": 3.0}, 3, 1),
+            ({"rho": refcase.RHO, "lam": 3.0}, 3, 252),
+            ({"spec": SubordinatorSpec(Family.ZERO), "sigma0_sq": [1e-4, 2e-4, 3e-4]}, 3, 64),
+            ({"spec": SubordinatorSpec(Family.INVERSE_GAUSSIAN, 0.0335, 670.0)}, 5, 300),
+            ({"r2": 0.0}, 5, 300),
+        ],
+        ids=["base", "partial-block", "segments", "one-long-step", "fast-reversion",
+             "zero", "ig", "r2=0"],
+    )
+    def test_bitwise_equal(self, overrides, n_paths, n_steps):
+        params = make_params(**overrides)
+        got = simulate(params, SimulationConfig(n_paths=n_paths, n_steps=n_steps, seed=13))
+        want = simulate_reference(params, ReferenceConfig(n_paths=n_paths, n_steps=n_steps, seed=13))
+        assert np.array_equal(got.realized, want.realized)
+        assert np.array_equal(got.sigma_sq_terminal, want.sigma_sq_terminal)
+        assert np.array_equal(got.jump_square_sum, want.jump_square_sum)
 
 
 class TestMcExpectedCov:
