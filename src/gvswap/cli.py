@@ -141,6 +141,8 @@ def cmd_price(args) -> int:
 def cmd_verify(args) -> int:
     params = _load_params(args.params)
     seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, "20240901"))
+    if args.paths < 2:
+        raise ParameterError("a standard error needs at least 2 paths")
     config = SimulationConfig(n_paths=args.paths, n_steps=args.steps, seed=seed)
     with Stopwatch() as watch:
         mc = mc_expected_cov(params, config)

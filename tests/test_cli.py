@@ -279,6 +279,25 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "positive" in err
 
+    def test_one_path_exit_2(self, capsys):
+        # one path has no sample spread: every z-score would be masked to 0
+        code, out, err = run(
+            capsys, "verify", "--params", FIXTURES / "base_params.json",
+            "--paths", 1, "--steps", 50, "--seed", 3,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "at least 2 paths" in err
+
+    def test_negative_seed_exit_2_without_worker_traceback(self, capfd):
+        # capfd, not capsys: forked workers write to the shared descriptor
+        code, _, err = run(
+            capfd, "verify", "--params", FIXTURES / "base_params.json",
+            "--paths", 40, "--steps", 8, "--seed", -1,
+        )
+        assert code == EXIT_INPUT
+        assert "seed" in err and "Traceback" not in err
+
     def test_seed_env_var_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("GVSWAP_SEED", "12345")
         code, out, _ = run(

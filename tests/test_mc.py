@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ class TestPathProperties:
             simulate(params, SimulationConfig(n_paths=1, n_steps=8, seed=0))
 
 
+def assert_matches_reference(params, config):
+    got = simulate(params, config)
+    want = simulate_reference(
+        params, ReferenceConfig(n_paths=config.n_paths, n_steps=config.n_steps, seed=config.seed)
+    )
+    assert np.array_equal(got.realized, want.realized)
+    assert np.array_equal(got.sigma_sq_terminal, want.sigma_sq_terminal)
+    assert np.array_equal(got.jump_square_sum, want.jump_square_sum)
+
+
 class TestBlockMatchesReference:
     """The block scan reproduces the per-path reference bitwise."""
 
@@ -142,12 +153,85 @@ class TestBlockMatchesReference:
              "zero", "ig", "r2=0"],
     )
     def test_bitwise_equal(self, overrides, n_paths, n_steps):
-        params = make_params(**overrides)
-        got = simulate(params, SimulationConfig(n_paths=n_paths, n_steps=n_steps, seed=13))
-        want = simulate_reference(params, ReferenceConfig(n_paths=n_paths, n_steps=n_steps, seed=13))
-        assert np.array_equal(got.realized, want.realized)
-        assert np.array_equal(got.sigma_sq_terminal, want.sigma_sq_terminal)
-        assert np.array_equal(got.jump_square_sum, want.jump_square_sum)
+        assert_matches_reference(
+            make_params(**overrides), SimulationConfig(n_paths=n_paths, n_steps=n_steps, seed=13)
+        )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the processes simulate forks."""
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sharding forks workers")
+class TestSharding:
+    """Path ranges on forked workers give the serial numbers bitwise, and no
+    worker outlives simulate, whichever range fails."""
+
+    # 11 paths are 6 blocks: ranges of 4, 4 and 3 paths on 3 workers
+    config = SimulationConfig(n_paths=11, n_steps=300, seed=13)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_bitwise_equal_for_any_worker_count(self, monkeypatch, forks, cores):
+        assert self.config.n_paths % (mc._BLOCK * cores) != 0
+        monkeypatch.setattr(mc, "_cores", lambda: cores)
+        assert_matches_reference(make_params(rho=refcase.RHO), self.config)
+        assert len(forks) == cores - 1
+        assert_no_child_left()
+
+    def test_failing_worker_raises(self, monkeypatch, capfd):
+        monkeypatch.setattr(mc, "_cores", lambda: 2)
+        parent = os.getpid()
+        sample = SubordinatorSpec.sample_increments
+
+        def sample_in_parent_only(self, *args):
+            if os.getpid() != parent:
+                raise FloatingPointError("worker draw failed")
+            return sample(self, *args)
+
+        monkeypatch.setattr(SubordinatorSpec, "sample_increments", sample_in_parent_only)
+        with pytest.raises(RuntimeError, match="1 of 1 simulation workers failed"):
+            simulate(make_params(), self.config)
+        assert_no_child_left()
+        assert "FloatingPointError: worker draw failed" in capfd.readouterr().err
+
+    def test_failing_parent_range_reaps_children(self, monkeypatch, forks):
+        monkeypatch.setattr(mc, "_cores", lambda: 3)
+        parent = os.getpid()
+        sample = SubordinatorSpec.sample_increments
+
+        def sample_in_children_only(self, *args):
+            if os.getpid() == parent:
+                raise FloatingPointError("parent draw failed")
+            return sample(self, *args)
+
+        monkeypatch.setattr(SubordinatorSpec, "sample_increments", sample_in_children_only)
+        with pytest.raises(FloatingPointError, match="parent draw failed"):
+            simulate(make_params(), self.config)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_paths", [1, mc._BLOCK])
+    def test_no_fork_below_two_blocks(self, monkeypatch, forks, n_paths):
+        monkeypatch.setattr(mc, "_cores", lambda: 3)
+        assert_matches_reference(make_params(), SimulationConfig(n_paths, 64, seed=13))
+        assert forks == []
 
 
 class TestMcExpectedCov:
