@@ -2,10 +2,11 @@
 
 Three assets follow exponential dynamics whose instantaneous variances are
 Ornstein-Uhlenbeck processes driven by correlated Levy subordinators.  The
-package computes the expected return-covariance matrix by two independent
-analytic routes, prices swaps on its trace and on the constrained maximum of
-the portfolio variance quadratic form, and ships a seeded Monte Carlo oracle
-that validates every analytic formula.
+package computes the expected return-covariance matrix by two truncations
+of one square-root series (the delta expansion is its order-2 case), prices
+swaps on its trace and on the constrained maximum of the portfolio variance
+quadratic form, and ships a seeded Monte Carlo oracle that independently
+validates every analytic formula.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +17,6 @@ from .covariance import (
     expected_cov_matrix,
     expected_cov_series,
     expected_var_leg,
-    sqrt_series_coefficients,
 )
 from .errors import (
     ConstraintDegeneracyError,
@@ -30,11 +30,9 @@ from .errors import (
     SingularConfigurationError,
 )
 from .market import DescriptiveStats, ReturnSeries, descriptive_stats, estimate_params, load_prices
-from .mc import PathBundle, SimulationConfig, mc_expected_cov, mc_price, simulate
-from .moments import raw_moments_from_cumulants, shifted_moment
+from .mc import PathBundle, SimulationConfig, mc_expected_cov, simulate
 from .params import PAIR_ORDER, AssetParams, ModelParams
 from .pricing import PricingResult, SwapContract, SwapKind, price_eigenvalue, price_trace
-from .quadrature import adaptive_simpson
 from .subordinators import CorrelatedTriple, Family, SubordinatorSpec
 from .weights import (
     ConstraintBasis,
@@ -70,7 +68,6 @@ __all__ = [
     "SubordinatorSpec",
     "SwapContract",
     "SwapKind",
-    "adaptive_simpson",
     "attainable_target_interval",
     "descriptive_stats",
     "estimate_params",
@@ -81,12 +78,8 @@ __all__ = [
     "feasible_weights",
     "load_prices",
     "mc_expected_cov",
-    "mc_price",
     "price_eigenvalue",
     "price_trace",
     "qr_constraint_basis",
-    "raw_moments_from_cumulants",
-    "shifted_moment",
     "simulate",
-    "sqrt_series_coefficients",
 ]

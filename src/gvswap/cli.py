@@ -62,8 +62,20 @@ def _write_or_print(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _parse_json(path: str, parse):
+    """parse(JSON content of path); a missing key or a value of the wrong
+    type is an input error that names the file."""
+    data = _read_json(path)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ParameterError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ParameterError(f"{path}: malformed content ({exc})") from None
+
+
 def _load_params(path: str) -> ModelParams:
-    return ModelParams.from_json_dict(_read_json(path))
+    return _parse_json(path, ModelParams.from_json_dict)
 
 
 def cmd_calibrate(args) -> int:
@@ -90,7 +102,7 @@ def _covariance_for(args) -> tuple[ExpectedCovMatrix, ModelParams | None]:
     if args.method == "fixture-omega":
         if not args.omega:
             raise ParameterError("--method fixture-omega requires --omega FILE")
-        return ExpectedCovMatrix.from_json_dict(_read_json(args.omega)), params
+        return _parse_json(args.omega, ExpectedCovMatrix.from_json_dict), params
     if params is None:
         raise ParameterError(f"--method {args.method} requires --params FILE")
     return expected_cov_matrix(params, method=args.method), params
@@ -99,18 +111,15 @@ def _covariance_for(args) -> tuple[ExpectedCovMatrix, ModelParams | None]:
 def cmd_price(args) -> int:
     with Stopwatch() as watch:
         cov, params = _covariance_for(args)
-        contract = SwapContract.from_json_dict(_read_json(args.contract))
+        contract = _parse_json(args.contract, SwapContract.from_json_dict)
         if contract.kind is SwapKind.TRACE:
             result = price_trace(cov, contract)
         elif args.fixed_basis:
-            fixed = _read_json(args.fixed_basis)
-            result = price_eigenvalue(
-                cov,
-                None,
-                contract,
-                fixed_basis=np.array(fixed["basis"], dtype=float),
-                fixed_coords=np.array(fixed["coords"], dtype=float),
+            basis, coords = _parse_json(
+                args.fixed_basis,
+                lambda d: (np.array(d["basis"], dtype=float), np.array(d["coords"], dtype=float)),
             )
+            result = price_eigenvalue(cov, None, contract, fixed_basis=basis, fixed_coords=coords)
         else:
             if args.mu:
                 mu = np.array([float(x) for x in args.mu.split(",")])

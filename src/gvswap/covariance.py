@@ -1,26 +1,32 @@
-"""Expected return-covariance matrix of the three-asset system, two ways.
+"""Expected return-covariance matrix of the three-asset system.
 
-Both routes compute, for each asset pair (i, j),
+Each off-diagonal entry, for an asset pair (i, j), is
 
     E[Cov(S_i, S_j)] = gamma_ij / T * int_0^T E[sigma_i(t) sigma_j(t)] dt
                        + rho_i rho_j lam kappa_2(Z1),
 
-where the last term is the expected sum of squared common jumps.  The routes
-differ in how E[sigma_i sigma_j] = E[sqrt(sigma_i^2 sigma_j^2)] is evaluated:
+where the last term is the expected sum of squared common jumps.  Both routes
+evaluate E[sigma_i sigma_j] = E[sqrt(P)], P = sigma_i^2 sigma_j^2, by a
+truncated binomial expansion of the square root around a center C(t)^2,
 
-* series: a truncated binomial expansion of the square root around a center
-  C(t)^2,  sqrt(P) = C * sum_k binom(1/2, k) (P/C^2 - 1)^k,  with the product
-  moments E[P^p] assembled from the independent-leg decomposition of the two
-  variance processes.  By default the center is the exact first moment
-  E[P](t) per quadrature node ("adaptive"), which keeps the expansion
+    sqrt(P) = C * sum_k binom(1/2, k) (P/C^2 - 1)^k,
+
+with the product moments E[P^p] assembled by one engine from the
+independent-leg decomposition of the two variance processes.  They differ
+only in the order and the center:
+
+* series: order params.kmax.  By default the center is the exact first
+  moment E[P](t) per quadrature node ("adaptive"), which keeps the expansion
   argument mean-zero for every t and makes the deterministic limit exact at
   order zero.  The "fixed" center uses the bounding levels beta of the
   parameter set, matching the bounded-volatility form of the expansion; its
   truncation error grows when the two initial variances are far apart.
 * approx: the two-term delta expansion
-  sqrt(P) ~ sqrt(E P) - Var P / (8 (E P)^(3/2)), with E[P] and Var[P] in
-  closed form from the moments of the three independent exponential
-  integrals.
+  sqrt(P) ~ sqrt(E P) - Var P / (8 (E P)^(3/2)), which is the adaptive-center
+  series at order 2: the centered argument has mean zero and
+  binom(1/2, 2) = -1/8.
+
+Neither route checks the other; the Monte Carlo oracle in mc.py does.
 
 Diagonal entries are in closed form: the time average of E[sigma_i^2] is
 elementary (Barndorff-Nielsen & Shephard, JRSS B 63, 2001), so no expansion or
@@ -174,6 +180,9 @@ def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray, center_sq):
 def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray, center_sq) -> np.ndarray:
     """E[sigma_i sigma_j] from the truncated expansion at an array of times."""
     Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
+    if (m2 < 0.0).any():
+        k = int(np.argmax(m2 < 0.0))
+        raise NumericalError(f"negative product mean {m2[k]} at t={t[k]}")
     # summed in order p = 0..kmax at every node, so a node's value does not
     # depend on the other nodes of the call (a matrix-vector product's would)
     value = np.cumsum(weights[:, None] * Mn, axis=0)[-1]
@@ -190,6 +199,26 @@ def _series_tail(engine: _PairSeriesEngine, coeffs: np.ndarray, t: np.ndarray, c
     last = np.where(tiny, 0.0, root * terms[-1])
     total = np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * terms.sum(axis=0))
     return last, total
+
+
+def _integrate_pair(params: ModelParams, i: int, j: int, engine: _PairSeriesEngine, center_sq,
+                    jump_convention: str) -> tuple:
+    """(entry, its quadrature error, integrand nodes, jump term) of pair (i, j):
+    gamma_ij / T int_0^T E[sigma_i sigma_j] dt plus the jump term, with
+    E[sigma_i sigma_j] expanded to the engine's order about C^2 (None: M_1)."""
+    T = params.horizon
+    gamma_ij = float(params.gamma[i, j])
+    weights = _collapsed_weights(engine.kmax)
+    evals = 0
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += t.size
+        return _series_point(engine, weights, t, center_sq)
+
+    value, err = adaptive_simpson(integrand, 0.0, T)
+    jump = _jump_term(params, i, j, jump_convention)
+    return gamma_ij * value / T + jump, abs(gamma_ij) * err / T, evals, jump
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +271,7 @@ def expected_cov_series(
         if params.triple.r3 >= 1.0:
             raise SingularConfigurationError("pair (1, 2) series requires r3 < 1")
     kmax = params.kmax
-    T = params.horizon
-    gamma_ij = float(params.gamma[i, j])
-
     engine = _PairSeriesEngine(params, (i, j), kmax)
-    weights = _collapsed_weights(kmax)
-    coeffs = sqrt_series_coefficients(kmax)
 
     center_sq = None
     if center == "fixed":
@@ -261,79 +285,15 @@ def expected_cov_series(
                 "|argument| must be < 1"
             )
 
-    evals = 0
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += t.size
-        return _series_point(engine, weights, t, center_sq)
-
-    value, err = adaptive_simpson(integrand, 0.0, T)
-    jump = _jump_term(params, i, j, jump_convention)
-
-    last, total = _series_tail(engine, coeffs, np.linspace(0.0, T, 5), center_sq)
+    value, err, evals, jump = _integrate_pair(params, i, j, engine, center_sq, jump_convention)
+    coeffs = sqrt_series_coefficients(kmax)
+    last, total = _series_tail(engine, coeffs, np.linspace(0.0, params.horizon, 5), center_sq)
     nonzero = total != 0.0
     tail = float(np.max(np.abs(last[nonzero]) / np.abs(total[nonzero]), initial=0.0))
-    diag = {
-        "quad_error": abs(gamma_ij) * err / T,
-        "evals": evals,
-        "series_tail": tail,
-        "kmax": kmax,
-        "jump_term": jump,
-    }
+    diag = {"quad_error": err, "evals": evals, "series_tail": tail, "kmax": kmax, "jump_term": jump}
     if center == "fixed":
         diag["argument_t0"] = engine.product_moments(0.0)[1] / center_sq - 1.0
-    return gamma_ij * value / T + jump, diag
-
-
-# ---------------------------------------------------------------------------
-# delta-expansion route
-# ---------------------------------------------------------------------------
-
-#: exponents of (Y1, Yi, Yj) in the monomials Y1, Yi, Yj, Y1^2, Y1 Yi, Y1 Yj,
-#: Yi Yj of the product sigma_i^2 sigma_j^2
-_MONOMIALS = np.array([[1, 0, 0, 2, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1]])
-
-
-class _PairApproxEngine:
-    """Mean and variance of the scaled product P = sigma_i^2 sigma_j^2.
-
-    With sigma_k^2 = x_k + a_k Y1 + b_k Yk (x_k = e^(-lam t) sigma_k0^2, Y1
-    and Yk the time-scaled exponential integrals of Z1 and of asset k's own
-    component, b = 0 for the base asset), P = x_i x_j + sum_f k_f F_f over
-    the monomials F of _MONOMIALS in the independent Y1, Yi, Yj.  Then
-    E P = x_i x_j + sum_f k_f E F_f and Var P = sum_fg k_f k_g Cov(F_f, F_g),
-    where E[F_f F_g] factors over the three legs; leg moments up to order
-    four suffice.
-    """
-
-    def __init__(self, params: ModelParams, pair):
-        tr = params.triple
-        self.lam = params.lam
-        (x_i, a_i, b_i, comp_i), (x_j, a_j, b_j, comp_j) = (
-            (params.assets[k].sigma0_sq,) + tr._mix(k + 1) for k in _pair_index(pair)
-        )
-        self.cumulants = np.stack([d.cumulant_sequence(4) for d in (tr.z1, comp_i, comp_j)], axis=1)
-        self.c0 = x_i * x_j
-        # k = k_fixed + e^(-lam t) k_decay, in the order of _MONOMIALS
-        self.k_fixed = np.array([0.0, 0.0, 0.0, a_i * a_j, a_j * b_i, a_i * b_j, b_i * b_j])[:, None]
-        self.k_decay = np.array([x_i * a_j + x_j * a_i, x_j * b_i, x_i * b_j, 0.0, 0.0, 0.0, 0.0])[:, None]
-        legs = np.arange(3)
-        self.single = (_MONOMIALS, legs[:, None])
-        self.double = (_MONOMIALS[:, :, None] + _MONOMIALS[:, None, :], legs[:, None, None])
-
-    def mean_and_variance(self, t) -> tuple:
-        """(E P, Var P) at one time or an array of times."""
-        times = np.asarray(t, dtype=float).reshape(-1)
-        decay = np.exp(-self.lam * times)
-        table = scaled_moment_table(self.cumulants, 0.0, self.lam, times, 4)
-        mean_f = table[self.single].prod(axis=0)
-        cov = table[self.double].prod(axis=0) - mean_f[:, None] * mean_f[None, :]
-        k = self.k_fixed + self.k_decay * decay
-        # sums in a fixed order at every node, independent of the other nodes
-        mean = self.c0 * decay * decay + np.cumsum(k * mean_f, axis=0)[-1]
-        var = np.cumsum((k[:, None] * k[None, :] * cov).reshape(-1, len(times)), axis=0)[-1]
-        return mean.reshape(np.shape(t)), var.reshape(np.shape(t))
+    return value, diag
 
 
 def expected_cov_approx(
@@ -342,33 +302,13 @@ def expected_cov_approx(
     jump_convention: str = "consistent",
 ) -> tuple[float, dict]:
     """Off-diagonal expected covariance by the two-term delta expansion
-    sqrt(E P) - Var P / (8 (E P)^(3/2)) of the product P = sigma_i^2 sigma_j^2."""
+    sqrt(E P) - Var P / (8 (E P)^(3/2)) of the product P = sigma_i^2 sigma_j^2:
+    the series about the exact mean E P cut at order 2, since the centered
+    argument has mean zero and binom(1/2, 2) = -1/8."""
     i, j = _pair_index(pair)
-    T = params.horizon
-    gamma_ij = float(params.gamma[i, j])
-
-    engine = _PairApproxEngine(params, (i, j))
-    evals = 0
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += t.size
-        m, v = engine.mean_and_variance(t)
-        bad = (m < 0.0) | ((m == 0.0) & (v > 0.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise NumericalError(f"nonpositive product mean {m[k]} at t={t[k]}")
-        tiny = m < _TINY_PRODUCT
-        m_safe = np.where(tiny, 1.0, m)
-        return np.where(tiny, np.sqrt(np.maximum(m, 0.0)), np.sqrt(m_safe) - v / (8.0 * m_safe**1.5))
-
-    value, err = adaptive_simpson(integrand, 0.0, T)
-    jump = _jump_term(params, i, j, jump_convention)
-    return gamma_ij * value / T + jump, {
-        "quad_error": abs(gamma_ij) * err / T,
-        "evals": evals,
-        "jump_term": jump,
-    }
+    engine = _PairSeriesEngine(params, (i, j), 2)
+    value, err, evals, jump = _integrate_pair(params, i, j, engine, None, jump_convention)
+    return value, {"quad_error": err, "evals": evals, "jump_term": jump}
 
 
 # ---------------------------------------------------------------------------

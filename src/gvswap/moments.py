@@ -10,19 +10,13 @@ Raw moments come from cumulants via the standard recursion
     m_n = sum_{j=0}^{n-1} C(n-1, j) c_{j+1} m_{n-1-j},
 
 and a deterministic shift is folded into the first cumulant.  Everything
-internal works with the time-scaled variable e^(-lam t) Y(t), whose cumulants
-kappa_n (1 - e^(-n lam t)) / n stay bounded for any horizon; public helpers
-rescale on the way out.
+works with the time-scaled variable e^(-lam t) Y(t), whose cumulants
+kappa_n (1 - e^(-n lam t)) / n stay bounded for any horizon.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import ParameterError
-from .subordinators import SubordinatorSpec
 
 
 def raw_moments_from_cumulants(cumulants: np.ndarray) -> np.ndarray:
@@ -71,21 +65,3 @@ def scaled_moment_table(cumulants: np.ndarray, shift, lam: float, t, max_order: 
     c = scaled_exp_integral_cumulants(cumulants[:max_order], lam, t)
     c[0] += np.multiply.outer(shift, np.exp(-lam * np.asarray(t, dtype=float)))
     return raw_moments_from_cumulants(c)
-
-
-def _check_order(order: int, lo: int = 1, hi: int = 4) -> int:
-    if not isinstance(order, (int, np.integer)) or not lo <= order <= hi:
-        raise ParameterError(f"moment order must be an integer in {lo}..{hi}, got {order!r}")
-    return int(order)
-
-
-def shifted_moment(shift: float, spec: SubordinatorSpec, lam: float, t: float, order: int) -> float:
-    """E[(shift + Y(t))^order] by the binomial shift of the Y moments, order in 1..4."""
-    order = _check_order(order)
-    if lam <= 0:
-        raise ParameterError(f"mean-reversion rate must be positive, got {lam}")
-    if t < 0:
-        raise ParameterError(f"time must be nonnegative, got {t}")
-    scaled = scaled_moment_table(spec.cumulant_sequence(order), shift, lam, t, order)
-    return float(scaled[order] * math.exp(order * lam * t))
-

@@ -1,5 +1,8 @@
 """References for the product moments of `covariance._PairSeriesEngine`.
 
+`shifted_moment` is the moment of one leg, E[(shift + Y(t))^order], in
+unscaled units.
+
 Factorized leg products: each leg is shift + Y(driver), with the driver taken
 from the model's correlated triple, and the product moments of a pair factor
 over independent legs.  The engine regroups the same sums with nonnegative
@@ -10,6 +13,10 @@ where it is well conditioned.
 `multinomial_product_moments` is the engine's former assembly: both variances
 expanded over full multinomials, one scalar time at a time.  It has the same
 nonnegative terms as the engine, so it agrees to rounding everywhere.
+
+`_PairApproxEngine` is the delta route's former engine: the mean and variance
+of the product sigma_i^2 sigma_j^2 from the moments of its monomials in the
+three independent exponential integrals, with no product-moment assembly.
 """
 
 import math
@@ -19,6 +26,25 @@ import numpy as np
 from gvswap import ParameterError, SingularConfigurationError
 from gvswap.covariance import _pair_index
 from gvswap.moments import scaled_moment_table
+from gvswap.params import ModelParams
+from gvswap.subordinators import SubordinatorSpec
+
+
+def _check_order(order: int, lo: int = 1, hi: int = 4) -> int:
+    if not isinstance(order, (int, np.integer)) or not lo <= order <= hi:
+        raise ParameterError(f"moment order must be an integer in {lo}..{hi}, got {order!r}")
+    return int(order)
+
+
+def shifted_moment(shift: float, spec: SubordinatorSpec, lam: float, t: float, order: int) -> float:
+    """E[(shift + Y(t))^order] by the binomial shift of the Y moments, order in 1..4."""
+    order = _check_order(order)
+    if lam <= 0:
+        raise ParameterError(f"mean-reversion rate must be positive, got {lam}")
+    if t < 0:
+        raise ParameterError(f"time must be nonnegative, got {t}")
+    scaled = scaled_moment_table(spec.cumulant_sequence(order), shift, lam, t, order)
+    return float(scaled[order] * math.exp(order * lam * t))
 
 
 def pair_legs(params, pair):
@@ -158,3 +184,49 @@ def multinomial_product_moments(params, pair, kmax: int, t: float) -> np.ndarray
                                   * e_base[qb + qe] * e_ci[qc] * e_cj[qf])
         M[p] = total
     return M
+
+
+#: exponents of (Y1, Yi, Yj) in the monomials Y1, Yi, Yj, Y1^2, Y1 Yi, Y1 Yj,
+#: Yi Yj of the product sigma_i^2 sigma_j^2
+_MONOMIALS = np.array([[1, 0, 0, 2, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1]])
+
+
+class _PairApproxEngine:
+    """Mean and variance of the scaled product P = sigma_i^2 sigma_j^2.
+
+    With sigma_k^2 = x_k + a_k Y1 + b_k Yk (x_k = e^(-lam t) sigma_k0^2, Y1
+    and Yk the time-scaled exponential integrals of Z1 and of asset k's own
+    component, b = 0 for the base asset), P = x_i x_j + sum_f k_f F_f over
+    the monomials F of _MONOMIALS in the independent Y1, Yi, Yj.  Then
+    E P = x_i x_j + sum_f k_f E F_f and Var P = sum_fg k_f k_g Cov(F_f, F_g),
+    where E[F_f F_g] factors over the three legs; leg moments up to order
+    four suffice.
+    """
+
+    def __init__(self, params: ModelParams, pair):
+        tr = params.triple
+        self.lam = params.lam
+        (x_i, a_i, b_i, comp_i), (x_j, a_j, b_j, comp_j) = (
+            (params.assets[k].sigma0_sq,) + tr._mix(k + 1) for k in _pair_index(pair)
+        )
+        self.cumulants = np.stack([d.cumulant_sequence(4) for d in (tr.z1, comp_i, comp_j)], axis=1)
+        self.c0 = x_i * x_j
+        # k = k_fixed + e^(-lam t) k_decay, in the order of _MONOMIALS
+        self.k_fixed = np.array([0.0, 0.0, 0.0, a_i * a_j, a_j * b_i, a_i * b_j, b_i * b_j])[:, None]
+        self.k_decay = np.array([x_i * a_j + x_j * a_i, x_j * b_i, x_i * b_j, 0.0, 0.0, 0.0, 0.0])[:, None]
+        legs = np.arange(3)
+        self.single = (_MONOMIALS, legs[:, None])
+        self.double = (_MONOMIALS[:, :, None] + _MONOMIALS[:, None, :], legs[:, None, None])
+
+    def mean_and_variance(self, t) -> tuple:
+        """(E P, Var P) at one time or an array of times."""
+        times = np.asarray(t, dtype=float).reshape(-1)
+        decay = np.exp(-self.lam * times)
+        table = scaled_moment_table(self.cumulants, 0.0, self.lam, times, 4)
+        mean_f = table[self.single].prod(axis=0)
+        cov = table[self.double].prod(axis=0) - mean_f[:, None] * mean_f[None, :]
+        k = self.k_fixed + self.k_decay * decay
+        # sums in a fixed order at every node, independent of the other nodes
+        mean = self.c0 * decay * decay + np.cumsum(k * mean_f, axis=0)[-1]
+        var = np.cumsum((k[:, None] * k[None, :] * cov).reshape(-1, len(times)), axis=0)[-1]
+        return mean.reshape(np.shape(t)), var.reshape(np.shape(t))

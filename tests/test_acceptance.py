@@ -26,12 +26,12 @@ from gvswap import (
     price_trace,
     qr_constraint_basis,
     refcase,
-    shifted_moment,
     simulate,
-    sqrt_series_coefficients,
 )
+from gvswap.covariance import sqrt_series_coefficients
 
 from .conftest import ACCEPTANCE_SEED, make_params
+from .legs import shifted_moment
 from .oracles import exact_sqrt_binomial, mean_with_stderr, sample_exp_integral
 from .test_weights import random_feasible_instance
 

@@ -203,6 +203,43 @@ class TestPrice:
         assert r1 == r2
 
 
+class TestMalformedInput:
+    """A JSON file of the wrong shape is an input error naming the file."""
+
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("params", {"assets": []}),
+            ("params", [1, 2]),
+            ("verify-params", {"assets": []}),
+            ("verify-params", [1, 2]),
+            ("contract", {"strike": 0.01, "horizon": 252.0, "rate": 0.0}),
+            ("omega", {"method": "fixture"}),
+            ("omega", [1, 2]),
+            ("fixed-basis", {"basis": np.eye(3).tolist()}),
+        ],
+    )
+    def test_exit_2_one_error_line(self, capsys, tmp_path, kind, content):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(content))
+        omega = FIXTURES / "omega_reference.json"
+        argv = {
+            "params": ("price", "--params", bad, "--method", "approx",
+                       "--contract", FIXTURES / "contract_trace.json"),
+            "verify-params": ("verify", "--params", bad, "--paths", 4, "--steps", 4),
+            "contract": ("price", "--method", "fixture-omega", "--omega", omega, "--contract", bad),
+            "omega": ("price", "--method", "fixture-omega", "--omega", bad,
+                      "--contract", FIXTURES / "contract_trace.json"),
+            "fixed-basis": ("price", "--method", "fixture-omega", "--omega", omega,
+                            "--contract", FIXTURES / "contract_eigenvalue.json", "--fixed-basis", bad),
+        }[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "malformed.json" in err and "Traceback" not in err
+
+
 class TestVerify:
     def test_zero_driver_params_all_z_zero(self, capsys, tmp_path):
         params = json.loads((FIXTURES / "base_params.json").read_text())

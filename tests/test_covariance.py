@@ -5,6 +5,7 @@ import pytest
 
 from gvswap import (
     Family,
+    NumericalError,
     ParameterError,
     SingularConfigurationError,
     SubordinatorSpec,
@@ -12,11 +13,13 @@ from gvswap import (
     expected_cov_matrix,
     expected_cov_series,
     expected_var_leg,
-    sqrt_series_coefficients,
+    refcase,
 )
-from gvswap.covariance import _PairApproxEngine
+from gvswap.covariance import sqrt_series_coefficients
+from gvswap.quadrature import adaptive_simpson
 
 from .conftest import make_params
+from .legs import _PairApproxEngine
 from .oracles import exact_sqrt_binomial
 
 
@@ -277,7 +280,8 @@ class TestApproxRoute:
         assert v == pytest.approx(0.0, abs=1e-30)
 
     def test_product_mean_matches_series_first_moment(self, base_params):
-        # the two routes share no code for E[sigma_i^2 sigma_j^2]
+        # the reference engine shares no code with the product-moment
+        # engine for E[sigma_i^2 sigma_j^2]
         from gvswap.covariance import _PairSeriesEngine
 
         for pair in [(0, 1), (1, 2), (2, 0)]:
@@ -302,6 +306,52 @@ class TestApproxRoute:
         params = make_params(r2=0.0)
         value, _ = expected_cov_approx((1, 2), params)
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 0)])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"spec": SubordinatorSpec(Family.INVERSE_GAUSSIAN, 0.0335, 670.0)},
+            {"spec": SubordinatorSpec(Family.ZERO), "sigma0_sq": [float(s) ** 2 for s in refcase.SIGMA0]},
+            {"r2": 0.0},
+            {"spec": SubordinatorSpec(Family.GAMMA, 1.0, 2.0e4)},
+        ],
+        ids=["gamma", "ig", "zero", "r2-zero", "gamma-shape-1"],
+    )
+    def test_integrand_is_delta_expansion(self, monkeypatch, overrides, pair):
+        # the order-2 series about the exact mean is sqrt(m) - v / (8 m^1.5)
+        from .test_quadrature import _captured_integrand
+
+        params = make_params(**overrides)
+        f, a, b, _ = _captured_integrand(monkeypatch, expected_cov_approx, pair, params)
+        seen = []
+
+        def record(t):
+            values = f(t)
+            seen.append((t, values))
+            return values
+
+        adaptive_simpson(record, a, b)
+        t, got = (np.concatenate(x) for x in zip(*seen))
+        m, v = _PairApproxEngine(params, pair).mean_and_variance(t)
+        np.testing.assert_allclose(got, np.sqrt(m) - v / (8.0 * m**1.5), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("route", [expected_cov_series, expected_cov_approx])
+def test_negative_product_mean_raises(monkeypatch, base_params, route):
+    from gvswap.covariance import _PairSeriesEngine
+
+    real = _PairSeriesEngine.product_moments
+
+    def negated_mean(self, t):
+        M = real(self, t)
+        M[1] = -M[1]
+        return M
+
+    monkeypatch.setattr(_PairSeriesEngine, "product_moments", negated_mean)
+    with pytest.raises(NumericalError, match="negative product mean"):
+        route((0, 1), base_params)
 
 
 @pytest.fixture(scope="module")

@@ -14,10 +14,10 @@ from gvswap import (
     expected_cov_matrix,
     mc,
     mc_expected_cov,
-    mc_price,
     refcase,
     simulate,
 )
+from gvswap.mc import mc_price
 
 from .conftest import make_params
 from .oracles import ReferenceConfig, simulate_reference

@@ -8,13 +8,11 @@ from gvswap import (
     ParameterError,
     SingularConfigurationError,
     SubordinatorSpec,
-    raw_moments_from_cumulants,
-    shifted_moment,
 )
-from gvswap.moments import scaled_moment_table
+from gvswap.moments import raw_moments_from_cumulants, scaled_moment_table
 
 from .conftest import make_params
-from .legs import series_leg_product, series_leg_product_12
+from .legs import series_leg_product, series_leg_product_12, shifted_moment
 from .oracles import (
     mean_with_stderr,
     moments_from_mgf,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvswap import NumericalError, adaptive_simpson, expected_cov_approx, expected_cov_series
+from gvswap import NumericalError, expected_cov_approx, expected_cov_series
+from gvswap.quadrature import adaptive_simpson
 
 from .oracles import adaptive_simpson_depth_first
 
