@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .covariance import ExpectedCovMatrix, expected_cov_matrix
+from .covariance import ExpectedCovMatrix, expected_cov_matrix, expected_diagonal
 from .errors import (
     EstimationError,
     GvswapError,
@@ -81,6 +81,8 @@ def _load_params(path: str) -> ModelParams:
 def cmd_calibrate(args) -> int:
     with Stopwatch() as watch:
         overrides = _read_json(args.overrides) if args.overrides else None
+        if overrides is not None and not isinstance(overrides, dict):
+            raise ParameterError(f"{args.overrides}: overrides must be a JSON object")
         series = load_prices(args.prices)
         params = estimate_params(series, overrides)
     payload = params.to_json_dict()
@@ -97,21 +99,22 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _covariance_for(args) -> tuple[ExpectedCovMatrix, ModelParams | None]:
-    params = _load_params(args.params) if args.params else None
-    if args.method == "fixture-omega":
-        if not args.omega:
-            raise ParameterError("--method fixture-omega requires --omega FILE")
-        return _parse_json(args.omega, ExpectedCovMatrix.from_json_dict), params
-    if params is None:
-        raise ParameterError(f"--method {args.method} requires --params FILE")
-    return expected_cov_matrix(params, method=args.method), params
-
-
 def cmd_price(args) -> int:
+    """A trace swap reads only the closed-form diagonal: under series or approx
+    no off-diagonal is computed and --method only labels the report."""
     with Stopwatch() as watch:
-        cov, params = _covariance_for(args)
         contract = _parse_json(args.contract, SwapContract.from_json_dict)
+        params = _load_params(args.params) if args.params else None
+        if args.method == "fixture-omega":
+            if not args.omega:
+                raise ParameterError("--method fixture-omega requires --omega FILE")
+            cov = _parse_json(args.omega, ExpectedCovMatrix.from_json_dict)
+        elif params is None:
+            raise ParameterError(f"--method {args.method} requires --params FILE")
+        elif contract.kind is SwapKind.TRACE:
+            cov = expected_diagonal(params, args.method)
+        else:
+            cov = expected_cov_matrix(params, method=args.method)
         if contract.kind is SwapKind.TRACE:
             result = price_trace(cov, contract)
         elif args.fixed_basis:

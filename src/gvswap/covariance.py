@@ -30,7 +30,7 @@ Neither route checks the other; the Monte Carlo oracle in mc.py does.
 
 Diagonal entries are in closed form: the time average of E[sigma_i^2] is
 elementary (Barndorff-Nielsen & Shephard, JRSS B 63, 2001), so no expansion or
-quadrature is involved.
+quadrature is involved; expected_diagonal computes them alone for the trace swap.
 
 The expansion argument requires the centered product to stay inside the unit
 ball for convergence; with unbounded subordinators this holds only with high
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,15 +351,34 @@ class ExpectedCovMatrix:
         return cls(entries=entries, method=d.get("method", "fixture"), diagnostics=d.get("diagnostics", {}))
 
 
-def expected_cov_matrix(params: ModelParams, method: str = "series") -> ExpectedCovMatrix:
-    """Assemble the full matrix: diagonal from the closed-form variance legs,
-    off-diagonals from the requested route ("series" or "approx")."""
+class ExpectedDiagonal(NamedTuple):
+    """Diagonal of the expected covariance matrix and its entries' diagnostics."""
+
+    diagonal: np.ndarray
+    method: str
+    diagnostics: dict
+
+    @property
+    def trace(self) -> float:
+        return float(self.diagonal.sum())
+
+
+def expected_diagonal(params: ModelParams, method: str) -> ExpectedDiagonal:
+    """The closed-form diagonal, labelled with the route ("series" or "approx")
+    that would compute the off-diagonals; none is computed."""
     if method not in ("series", "approx"):
         raise ParameterError(f"unknown method {method!r}; use 'series' or 'approx'")
-    entries = np.zeros((3, 3))
-    diagnostics = {}
+    diagonal, diagnostics = np.zeros(3), {}
     for i in range(3):
-        entries[i, i], diagnostics[f"{i}{i}"] = expected_var_leg(i, params)
+        diagonal[i], diagnostics[f"{i}{i}"] = expected_var_leg(i, params)
+    return ExpectedDiagonal(diagonal, method, diagnostics)
+
+
+def expected_cov_matrix(params: ModelParams, method: str = "series") -> ExpectedCovMatrix:
+    """Assemble the full matrix: diagonal from expected_diagonal,
+    off-diagonals from the requested route ("series" or "approx")."""
+    diagonal, _, diagnostics = expected_diagonal(params, method)
+    entries = np.diag(diagonal)
     route = expected_cov_series if method == "series" else expected_cov_approx
     for i, j in PAIR_ORDER:
         value, diag = route((i, j), params)

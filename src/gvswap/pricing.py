@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .covariance import ExpectedCovMatrix
+from .covariance import ExpectedCovMatrix, ExpectedDiagonal
 from .errors import ParameterError
 from .weights import FeasibleWeights, feasible_weights, qr_constraint_basis
 
@@ -90,8 +90,9 @@ class PricingResult:
         }
 
 
-def price_trace(cov: ExpectedCovMatrix, contract: SwapContract) -> PricingResult:
-    """Price the trace swap: e^(-rT) (tr E[Omega] - K)."""
+def price_trace(cov: ExpectedCovMatrix | ExpectedDiagonal, contract: SwapContract) -> PricingResult:
+    """Price the trace swap, e^(-rT) (tr E[Omega] - K), from the diagonal of
+    E[Omega]: a full matrix or covariance.expected_diagonal alone."""
     if contract.kind is not SwapKind.TRACE:
         raise ParameterError(f"price_trace requires a trace contract, got {contract.kind.value}")
     metric = cov.trace

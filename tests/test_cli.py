@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,8 +9,11 @@ from gvswap import (
     ModelParams,
     NumericalError,
     SimulationConfig,
+    SwapContract,
     estimate_params,
+    expected_cov_matrix,
     load_prices,
+    price_trace,
     refcase,
     simulate,
 )
@@ -31,6 +35,25 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def closed_form_trace(params: dict) -> float:
+    """tr E[Omega] of a params file with gamma drivers: per asset, the time
+    average k1 + (sigma0^2 - k1)(1 - e^(-lam T))/(lam T) of its variance plus
+    the squared common jumps rho^2 lam kappa_2(Z1)."""
+    def cumulant(driver, n):
+        return driver["a"] * math.factorial(n - 1) / driver["b"] ** n
+
+    lam, horizon = params["lambda"], params["horizon"]
+    factor = -math.expm1(-lam * horizon) / (lam * horizon)
+    # asset i's driver is r Z1 + sqrt(1 - r^2) Z_own; the base asset's is Z1
+    mixes = ((1.0, "z1"), (params["r2"], "z_star"), (params["r3"], "z_star_star"))
+    total = 0.0
+    for asset, (r, own) in zip(params["assets"], mixes):
+        k1 = r * cumulant(params["z1"], 1) + math.sqrt(1.0 - r * r) * cumulant(params[own], 1)
+        total += k1 + (asset["sigma0_sq"] - k1) * factor
+        total += asset["rho"] ** 2 * lam * cumulant(params["z1"], 2)
+    return total
 
 
 class TestCalibrate:
@@ -58,6 +81,18 @@ class TestCalibrate:
         code, _, err = run(capsys, "calibrate", "--prices", tmp_path / "nope.csv")
         assert code == EXIT_INPUT
         assert "nope.csv" in err
+
+    @pytest.mark.parametrize("content", [[3], "x", 3])
+    def test_non_object_overrides_exit_2(self, capsys, tmp_path, content):
+        bad = tmp_path / "overrides.json"
+        bad.write_text(json.dumps(content))
+        code, out, err = run(
+            capsys, "calibrate", "--prices", FIXTURES / "prices_252.csv", "--overrides", bad
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overrides.json" in err and "Traceback" not in err
 
     def test_constant_prices_exit_3(self, capsys, tmp_path):
         csv = tmp_path / "const.csv"
@@ -166,10 +201,31 @@ class TestPrice:
             "price",
             "--params", FIXTURES / "base_params.json",
             "--method", "approx",
-            "--contract", FIXTURES / "contract_trace.json",
+            "--contract", FIXTURES / "contract_eigenvalue.json",
         )
         assert code == EXIT_NUMERICAL
         assert "converge" in err
+
+    def test_trace_contract_never_reaches_the_matrix(self, capsys, monkeypatch):
+        # trace counterpart of test_numerical_failure_exit_6: the trace reads
+        # the closed-form diagonal, so a failing matrix route is never called
+        import gvswap.cli as cli
+
+        def fail(*args, **kwargs):
+            raise NumericalError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "expected_cov_matrix", fail)
+        code, out, _ = run(
+            capsys,
+            "price",
+            "--params", FIXTURES / "base_params.json",
+            "--method", "approx",
+            "--contract", FIXTURES / "contract_trace.json",
+        )
+        assert code == EXIT_OK
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        metric = json.loads(out)["results"]["expected_metric"]
+        assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
 
     def test_overflow_exit_6(self, capsys, tmp_path):
         # gamma drivers with b = 5e29 overflow b**n in the series cumulants
@@ -179,7 +235,7 @@ class TestPrice:
         path = tmp_path / "extreme.json"
         path.write_text(dumps_17(params))
         commands = (
-            ("price", "--method", "series", "--contract", FIXTURES / "contract_trace.json"),
+            ("price", "--method", "series", "--contract", FIXTURES / "contract_eigenvalue.json"),
             ("verify", "--paths", 10, "--steps", 20, "--seed", 7),
         )
         for command in commands:
@@ -188,6 +244,42 @@ class TestPrice:
                 code, _, err = run(capsys, command[0], "--params", path, *command[1:])
             assert code == EXIT_NUMERICAL
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_trace_at_overflowing_driver_rate(self, capsys, tmp_path):
+        # trace counterpart of test_overflow_exit_6: the closed-form diagonal
+        # never raises b to a power, so b = 5e29 prices
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        for key in ("z1", "z_star", "z_star_star"):
+            params[key] = {"family": "gamma", "a": 25, "b": 5e29}
+        path = tmp_path / "extreme.json"
+        path.write_text(dumps_17(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run(
+                capsys, "price", "--params", path, "--method", "series",
+                "--contract", FIXTURES / "contract_trace.json",
+            )
+        assert code == EXIT_OK
+        metric = json.loads(out)["results"]["expected_metric"]
+        assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
+
+    def test_trace_series_at_r2_zero(self, capsys, tmp_path):
+        # the (1, 2) series precondition r2 > 0 belongs to an off-diagonal,
+        # which a trace swap does not read; the eigenvalue swap still needs it
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        params["r2"] = 0.0
+        path = tmp_path / "r2zero.json"
+        path.write_text(dumps_17(params))
+        argv = ("price", "--params", path, "--method", "series", "--contract")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run(capsys, *argv, FIXTURES / "contract_trace.json")
+            assert code == EXIT_OK
+            metric = json.loads(out)["results"]["expected_metric"]
+            assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
+            code, _, err = run(capsys, *argv, FIXTURES / "contract_eigenvalue.json")
+        assert code == EXIT_INPUT
+        assert "r2 > 0" in err
 
     def test_reports_reproducible(self, capsys):
         args = (
@@ -201,6 +293,71 @@ class TestPrice:
         r1, r2 = json.loads(out1), json.loads(out2)
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
+
+
+class TestTracePath:
+    """A trace swap under series or approx prices from the closed-form
+    diagonal alone: no off-diagonal route, no quadrature, no matrix."""
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    def test_no_off_diagonal_route(self, capsys, monkeypatch, method):
+        import gvswap.cli as cli
+        import gvswap.covariance as covariance
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a trace op reached an off-diagonal computation")
+
+        for owner, name in (
+            (covariance, "expected_cov_series"),
+            (covariance, "expected_cov_approx"),
+            (covariance, "adaptive_simpson"),
+            (cli, "expected_cov_matrix"),
+        ):
+            monkeypatch.setattr(owner, name, fail)
+        code, out, _ = run(
+            capsys, "price", "--params", FIXTURES / "base_params.json", "--method", method,
+            "--contract", FIXTURES / "contract_trace.json",
+        )
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        assert results["method"] == method
+        assert list(results["diagnostics"]["entry_diagnostics"]) == ["00", "11", "22"]
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    @pytest.mark.parametrize("case", ["gamma", "ig", "zero", "gamma-1e-4"])
+    def test_bitwise_trace_of_full_matrix(self, capsys, tmp_path, method, case):
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        params["beta"] = None
+        scale = 1e-4 if case.endswith("1e-4") else 1.0
+        # the exact rescaling of the model: variances and driver laws by c,
+        # leverages by c^(-1/2)
+        driver = {
+            "gamma": {"family": "gamma", "a": 100, "b": 2.0e6 / scale},
+            "ig": {"family": "ig", "a": 0.0335, "b": 670.0},
+            "zero": {"family": "zero"},
+        }[case.split("-")[0]]
+        for key in ("z1", "z_star", "z_star_star"):
+            params[key] = driver
+        for asset in params["assets"]:
+            asset["sigma0_sq"] *= scale
+            asset["rho"] /= math.sqrt(scale)
+        path = tmp_path / "params.json"
+        path.write_text(dumps_17(params))
+        contract = FIXTURES / "contract_trace.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run(
+                capsys, "price", "--params", path, "--method", method, "--contract", contract
+            )
+            model = ModelParams.from_json_dict(params)
+        assert code == EXIT_OK
+        want = price_trace(
+            expected_cov_matrix(model, method),
+            SwapContract.from_json_dict(json.loads(contract.read_text())),
+        )
+        results = json.loads(out)["results"]
+        assert results["expected_metric"] == want.expected_metric
+        assert results["price"] == want.price
 
 
 class TestMalformedInput:

@@ -19,15 +19,18 @@ def test_traced_price_ops_give_metrics(monkeypatch, capsys):
     import tracing
 
     tracer = tracing.Tracer()
+    # a trace op runs price_trace on the closed-form diagonal; only the
+    # eigenvalue op builds a matrix and calls the quadrature
     for method in ("approx", "series"):
-        with tracer:
-            code = cli.main([
-                "price",
-                "--params", str(FIXTURES / "base_params.json"),
-                "--method", method,
-                "--contract", str(FIXTURES / "contract_trace.json"),
-            ])
-        assert code == cli.EXIT_OK
+        for contract in ("contract_trace.json", "contract_eigenvalue.json"):
+            with tracer:
+                code = cli.main([
+                    "price",
+                    "--params", str(FIXTURES / "base_params.json"),
+                    "--method", method,
+                    "--contract", str(FIXTURES / contract),
+                ])
+            assert code == cli.EXIT_OK
     capsys.readouterr()
     metrics = tracer.metrics(1, 0.0)
     assert metrics["quadrature.evals"]["value"] > 0
