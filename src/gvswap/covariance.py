@@ -112,7 +112,8 @@ def _jump_term(params: ModelParams, i: int, j: int, convention: str) -> float:
 # ---------------------------------------------------------------------------
 
 class _PairSeriesEngine:
-    """Per-pair evaluator of the scaled product moments M_p, p = 0..kmax.
+    """Evaluator of the scaled product moments M_p, p = 0..kmax, of a tuple of
+    asset pairs on one moment table.
 
     Each variance is written over the independent integrals as
 
@@ -126,89 +127,99 @@ class _PairSeriesEngine:
         M_p = sum_{q,r=0..p} C(p,q) C(p,r) a_i^q a_j^r
               G_i[p-q] G_j[p-r] E[Y^(q+r)],   G_i[n] = E[X_i^n],
 
-    where G_i, G_j and the moments of Y are three columns of one moment table
-    and E[Y^(q+r)] is a Hankel gather of the Y column.  Every term is
-    nonnegative, so the assembly is stable for any parameter values.  (The
-    factorization that isolates the legs behind shifted variables, kept in
-    tests/legs.py, cancels catastrophically when the shifts are large against
-    the product scale.)  Times come as arrays; the work is O(kmax^3) per node,
+    where the moments of Y and of each X_i are columns of one moment table,
+    one column for Y and one per distinct asset of the pairs, and E[Y^(q+r)]
+    is a Hankel gather of the Y column.  Every term is nonnegative, so the
+    assembly is stable for any parameter values.  (The factorization that
+    isolates the legs behind shifted variables, kept in tests/legs.py,
+    cancels catastrophically when the shifts are large against the product
+    scale.)  Times come as arrays; the work is O(kmax^3) per node and pair,
     against O(kmax^5) for the expansion over both multinomials.
     """
 
-    def __init__(self, params: ModelParams, pair, kmax: int):
+    def __init__(self, params: ModelParams, pairs, kmax: int):
         self.kmax = kmax
         self.lam = params.lam
+        self.pairs = tuple(_pair_index(pair) for pair in pairs)
+        assets = list(dict.fromkeys(asset for pair in self.pairs for asset in pair))
         tr = params.triple
         K = kmax
         orders = np.arange(1, 2 * K + 1)
         p, q = np.indices((K + 1, K + 1))
         binom = np.array([[math.comb(n, k) for k in range(K + 1)] for n in range(K + 1)])
-        # table columns: Y, then X_i and X_j (cumulants b^n kappa_n(Zc), shift sigma0^2)
-        columns, self.shifts, self.weights = [tr.z1.cumulant_sequence(2 * K)], [0.0], []
-        for asset in _pair_index(pair):
+        # table columns: Y, then one X per asset (cumulants b^n kappa_n(Zc), shift sigma0^2)
+        columns, self.shifts, weights = [tr.z1.cumulant_sequence(2 * K)], [0.0], []
+        for asset in assets:
             a, b, comp = tr._mix(asset + 1)
             columns.append(b**orders * comp.cumulant_sequence(2 * K))
             self.shifts.append(params.assets[asset].sigma0_sq)
-            self.weights.append(binom * a**q)  # C(p, q) a^q, zero for q > p
+            weights.append(binom * a**q)  # C(p, q) a^q, zero for q > p
         self.cumulants = np.stack(columns, axis=1)
+        self.weights = np.stack(weights)
+        # each pair's two assets as indices into the X columns
+        self.left, self.right = (np.array([assets.index(pair[k]) for pair in self.pairs]) for k in (0, 1))
         self.lag = np.maximum(p - q, 0)  # G[p - q]
         self.hankel = p + q              # E[Y^(q + r)]
 
     def product_moments(self, t) -> np.ndarray:
         """M_p = E[(sigma_i^2 sigma_j^2)_t^p] for p = 0..kmax (time-scaled
-        units), at one time or an array of times; shape (kmax + 1,) + shape(t)."""
+        units) of every pair, at one time or an array of times; shape
+        (pairs, kmax + 1) + shape(t)."""
         K = self.kmax
         times = np.asarray(t, dtype=float).reshape(-1)
         table = scaled_moment_table(self.cumulants, self.shifts, self.lam, times, 2 * K).T
-        w_i, w_j = self.weights
-        u_i = w_i * table[:, 1, self.lag]
-        u_j = w_j * table[:, 2, self.lag]
+        # C(p, q) a^q G[p - q] per node, asset, p and q
+        u = self.weights * table[:, 1:, self.lag]
         # M_p = sum_q u_i[p, q] sum_r u_j[p, r] E[Y^(q+r)]
-        M = (u_i * (u_j @ table[:, 0, self.hankel])).sum(axis=-1)
-        return M.T.reshape((K + 1,) + np.shape(t))
+        M = (u[:, self.left] * (u[:, self.right] @ table[:, 0, self.hankel][:, None])).sum(axis=-1)
+        return M.transpose(1, 2, 0).reshape((len(self.pairs), K + 1) + np.shape(t))
 
 
 def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray, center_sq):
     """(M_p / C^(2p) for p = 0..kmax, C, M_1, and whether M_1 is below
-    _TINY_PRODUCT) at an array of times, for the center C^2 (None: M_1)."""
+    _TINY_PRODUCT) of every pair at an array of times, for the center C^2
+    (None: M_1); the first three have shape (pairs, kmax + 1, nodes), the
+    others (pairs, nodes)."""
     M = engine.product_moments(t)
-    m2 = M[1]
+    m2 = M[:, 1]
     tiny = m2 < _TINY_PRODUCT
     c2 = np.where(tiny, 1.0, m2 if center_sq is None else center_sq)
-    return M / c2 ** np.arange(engine.kmax + 1)[:, None], np.sqrt(c2), m2, tiny
+    return M / c2[:, None] ** np.arange(engine.kmax + 1)[:, None], np.sqrt(c2), m2, tiny
 
 
 def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray, center_sq) -> np.ndarray:
-    """E[sigma_i sigma_j] from the truncated expansion at an array of times."""
+    """E[sigma_i sigma_j] of every pair from the truncated expansion at an
+    array of times; shape (pairs, nodes)."""
     Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
     if (m2 < 0.0).any():
-        k = int(np.argmax(m2 < 0.0))
-        raise NumericalError(f"negative product mean {m2[k]} at t={t[k]}")
+        pair, k = np.argwhere(m2 < 0.0)[0]
+        raise NumericalError(f"negative product mean {m2[pair, k]} at t={t[k]}")
     # summed in order p = 0..kmax at every node, so a node's value does not
     # depend on the other nodes of the call (a matrix-vector product's would)
-    value = np.cumsum(weights[:, None] * Mn, axis=0)[-1]
+    value = np.cumsum(weights[:, None] * Mn, axis=1)[:, -1]
     return np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * value)
 
 
-def _series_tail(engine: _PairSeriesEngine, coeffs: np.ndarray, t: np.ndarray, center_sq) -> tuple:
-    """(value of the last retained term, value of the full sum) at an array of times."""
+def _series_tail(engine: _PairSeriesEngine, t: np.ndarray, center_sq) -> np.ndarray:
+    """Largest |last retained term| / |full sum| over an array of times, per pair."""
     Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
     K = engine.kmax
     # E[x^k] = sum_p C(k, p) (-1)^(k-p) E[(1 + x)^p], x the centered argument
     signed = np.array([[math.comb(k, p) * (-1) ** (k - p) for p in range(K + 1)] for k in range(K + 1)])
-    terms = coeffs[:, None] * (signed @ Mn)
-    last = np.where(tiny, 0.0, root * terms[-1])
-    total = np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * terms.sum(axis=0))
-    return last, total
+    terms = sqrt_series_coefficients(K)[:, None] * (signed @ Mn)
+    last = np.abs(np.where(tiny, 0.0, root * terms[:, -1]))
+    total = np.abs(np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * terms.sum(axis=1)))
+    return np.divide(last, total, out=np.zeros_like(last), where=total != 0.0).max(axis=1)
 
 
-def _integrate_pair(params: ModelParams, i: int, j: int, engine: _PairSeriesEngine, center_sq,
-                    jump_convention: str) -> tuple:
-    """(entry, its quadrature error, integrand nodes, jump term) of pair (i, j):
+def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, center_sq, jump_convention: str,
+                     tail: bool) -> list:
+    """(entry, diagnostics) of each of the engine's pairs (i, j):
     gamma_ij / T int_0^T E[sigma_i sigma_j] dt plus the jump term, with
-    E[sigma_i sigma_j] expanded to the engine's order about C^2 (None: M_1)."""
+    E[sigma_i sigma_j] expanded to the engine's order about C^2 (None: M_1).
+    All pairs share one integrand, one quadrature run and so one node set;
+    with tail, the diagnostics carry the series tail at 5 probe times."""
     T = params.horizon
-    gamma_ij = float(params.gamma[i, j])
     weights = _collapsed_weights(engine.kmax)
     evals = 0
 
@@ -217,9 +228,18 @@ def _integrate_pair(params: ModelParams, i: int, j: int, engine: _PairSeriesEngi
         evals += t.size
         return _series_point(engine, weights, t, center_sq)
 
-    value, err = adaptive_simpson(integrand, 0.0, T)
-    jump = _jump_term(params, i, j, jump_convention)
-    return gamma_ij * value / T + jump, abs(gamma_ij) * err / T, evals, jump
+    values, errs = adaptive_simpson(integrand, 0.0, T)
+    tails = _series_tail(engine, np.linspace(0.0, T, 5), center_sq) if tail else None
+    entries = []
+    for k, (i, j) in enumerate(engine.pairs):
+        gamma_ij = float(params.gamma[i, j])
+        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) / T, "evals": evals}
+        if tail:
+            diag.update(series_tail=float(tails[k]), kmax=engine.kmax)
+        jump = _jump_term(params, i, j, jump_convention)
+        diag["jump_term"] = jump
+        entries.append((gamma_ij * float(values[k]) / T + jump, diag))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +264,17 @@ def expected_var_leg(
     return value + jump, {"jump_term": jump}
 
 
+def _check_series_pairs(params: ModelParams, pairs) -> None:
+    """The series route's documented precondition of pair (1, 2)'s
+    decomposition (the engine's positive regrouping is actually regular
+    there, but the published leg products are not)."""
+    if (1, 2) in pairs:
+        if params.triple.r2 <= 0.0:
+            raise SingularConfigurationError("pair (1, 2) series requires r2 > 0")
+        if params.triple.r3 >= 1.0:
+            raise SingularConfigurationError("pair (1, 2) series requires r3 < 1")
+
+
 def expected_cov_series(
     pair,
     params: ModelParams,
@@ -263,37 +294,24 @@ def expected_cov_series(
     i, j = _pair_index(pair)
     if center not in ("adaptive", "fixed"):
         raise ParameterError(f"unknown center {center!r}")
-    if (i, j) == (1, 2):
-        # documented precondition of this pair's decomposition (the engine's
-        # positive regrouping is actually regular there, but the published
-        # leg products are not)
-        if params.triple.r2 <= 0.0:
-            raise SingularConfigurationError("pair (1, 2) series requires r2 > 0")
-        if params.triple.r3 >= 1.0:
-            raise SingularConfigurationError("pair (1, 2) series requires r3 < 1")
-    kmax = params.kmax
-    engine = _PairSeriesEngine(params, (i, j), kmax)
+    _check_series_pairs(params, [(i, j)])
+    engine = _PairSeriesEngine(params, [(i, j)], params.kmax)
 
     center_sq = None
     if center == "fixed":
         beta = params.beta_for((i, j))
         center_sq = beta**4
         # convergence requires the t=0 argument inside the unit ball
-        m0 = engine.product_moments(0.0)[1]
-        if abs(m0 / center_sq - 1.0) >= 1.0:
+        argument = engine.product_moments(0.0)[0, 1] / center_sq - 1.0
+        if abs(argument) >= 1.0:
             raise ParameterError(
-                f"series argument at t=0 is {m0 / center_sq - 1.0:+.3f} for beta={beta}; "
+                f"series argument at t=0 is {argument:+.3f} for beta={beta}; "
                 "|argument| must be < 1"
             )
 
-    value, err, evals, jump = _integrate_pair(params, i, j, engine, center_sq, jump_convention)
-    coeffs = sqrt_series_coefficients(kmax)
-    last, total = _series_tail(engine, coeffs, np.linspace(0.0, params.horizon, 5), center_sq)
-    nonzero = total != 0.0
-    tail = float(np.max(np.abs(last[nonzero]) / np.abs(total[nonzero]), initial=0.0))
-    diag = {"quad_error": err, "evals": evals, "series_tail": tail, "kmax": kmax, "jump_term": jump}
+    (value, diag), = _integrate_pairs(params, engine, center_sq, jump_convention, tail=True)
     if center == "fixed":
-        diag["argument_t0"] = engine.product_moments(0.0)[1] / center_sq - 1.0
+        diag["argument_t0"] = argument
     return value, diag
 
 
@@ -306,10 +324,9 @@ def expected_cov_approx(
     sqrt(E P) - Var P / (8 (E P)^(3/2)) of the product P = sigma_i^2 sigma_j^2:
     the series about the exact mean E P cut at order 2, since the centered
     argument has mean zero and binom(1/2, 2) = -1/8."""
-    i, j = _pair_index(pair)
-    engine = _PairSeriesEngine(params, (i, j), 2)
-    value, err, evals, jump = _integrate_pair(params, i, j, engine, None, jump_convention)
-    return value, {"quad_error": err, "evals": evals, "jump_term": jump}
+    engine = _PairSeriesEngine(params, [pair], 2)
+    (value, diag), = _integrate_pairs(params, engine, None, jump_convention, tail=False)
+    return value, diag
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +345,7 @@ class ExpectedCovMatrix:
         e = np.array(self.entries, dtype=float)
         if e.shape != (3, 3):
             raise ParameterError(f"entries must be 3x3, got shape {e.shape}")
-        if not np.allclose(e, e.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(e).max())):
+        if not np.allclose(e, e.T, rtol=0.0, atol=1e-12 * np.abs(e).max()):
             raise ParameterError("expected covariance matrix must be symmetric")
         if np.any(np.diag(e) < 0.0):
             raise ParameterError("expected covariance matrix must have nonnegative diagonal")
@@ -376,12 +393,15 @@ def expected_diagonal(params: ModelParams, method: str) -> ExpectedDiagonal:
 
 def expected_cov_matrix(params: ModelParams, method: str = "series") -> ExpectedCovMatrix:
     """Assemble the full matrix: diagonal from expected_diagonal,
-    off-diagonals from the requested route ("series" or "approx")."""
+    off-diagonals from the requested route ("series" or "approx"), the three
+    of them on one engine and one quadrature run."""
     diagonal, _, diagnostics = expected_diagonal(params, method)
     entries = np.diag(diagonal)
-    route = expected_cov_series if method == "series" else expected_cov_approx
-    for i, j in PAIR_ORDER:
-        value, diag = route((i, j), params)
+    series = method == "series"
+    if series:
+        _check_series_pairs(params, PAIR_ORDER)
+    engine = _PairSeriesEngine(params, PAIR_ORDER, params.kmax if series else 2)
+    for (i, j), (value, diag) in zip(PAIR_ORDER, _integrate_pairs(params, engine, None, "consistent", series)):
         entries[i, j] = entries[j, i] = value
         diagnostics[f"{min(i, j)}{max(i, j)}"] = diag
     return ExpectedCovMatrix(entries=entries, method=method, diagnostics=diagnostics)

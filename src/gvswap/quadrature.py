@@ -25,24 +25,30 @@ def adaptive_simpson(f, a: float, b: float, tol: float = None, max_depth: int = 
     Parameters
     ----------
     f : callable
-        Vectorized real integrand: maps a 1-D array of nodes in [a, b] to the
-        array of its finite values there.
+        Vectorized real integrand: maps a 1-D array of n nodes in [a, b] to
+        the array of its finite values there, of shape (n,), or of shape
+        (m, n) for m integrands on one node set.  An interval of a vector
+        integrand is bisected while any row's local estimate exceeds the
+        tolerance.
     a, b : float
         Integration bounds, a <= b.
     tol : float, optional
-        Absolute tolerance; defaults to 1e-10 * (b - a).
+        Absolute tolerance, per row; defaults to 1e-10 * (b - a).
     max_depth : int
         Bisection depth limit.
 
     Returns
     -------
     (value, error_estimate)
+        Floats for a 1-D integrand, arrays of shape (m,) for a vector one;
+        (0.0, 0.0) without a call of f when a == b.
 
     Raises
     ------
     NumericalError
         If max_depth is exceeded before the tolerance is met; the exception
-        carries the best value and the achieved error estimate.
+        carries the best value and the achieved error estimate, per row for
+        a vector integrand.
     """
     if b < a:
         raise NumericalError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
@@ -53,40 +59,49 @@ def adaptive_simpson(f, a: float, b: float, tol: float = None, max_depth: int = 
 
     # the root's quarter-points go with its ends into the first call
     m = 0.5 * (a + b)
-    fa, flm, fm, frm, fb = f(np.array([a, 0.5 * (a + m), m, 0.5 * (m + b), b]))
-    quarters = np.array([flm, frm])
+    first = np.asarray(f(np.array([a, 0.5 * (a + m), m, 0.5 * (m + b), b])))
+    rows = len(first) if first.ndim == 2 else 1
+    fa, flm, fm, frm, fb = first.reshape(rows, 5).T
+    quarters = np.stack([flm, frm], axis=1)
 
-    total = 0.0
-    err_total = 0.0
+    total = np.zeros(rows)
+    err_total = np.zeros(rows)
     depth_exceeded = False
 
-    # stack rows: a, b, f(a), f(mid), f(b), Simpson estimate, tolerance, depth
-    stack = np.array([[a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0.0]])
+    # stack rows: a, b, tolerance, depth, then f(a), f(mid), f(b) and the
+    # Simpson estimate, one column per integrand row each
+    width = 4 + 4 * rows
+    stack = np.concatenate([[a, b, tol, 0.0], fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)])[None]
     while len(stack):
         batch, stack = stack[-_BATCH:], stack[:-_BATCH]
-        a0, b0, f0, f1, f2, s0, tol0, depth = batch.T
+        n = len(batch)
+        a0, b0, tol0, depth = batch[:, :4].T
+        f0, f1, f2, s0 = batch[:, 4:].T.reshape(4, rows, n)
         m0 = 0.5 * (a0 + b0)
         if quarters is None:
             quarters = f(np.concatenate([0.5 * (a0 + m0), 0.5 * (m0 + b0)]))
-        flm, frm = quarters[: len(batch)], quarters[len(batch) :]
+        quarters = np.reshape(quarters, (rows, 2 * n))
+        flm, frm = quarters[:, :n], quarters[:, n:]
         quarters = None
         s_left = (m0 - a0) / 6.0 * (f0 + 4.0 * flm + f1)
         s_right = (b0 - m0) / 6.0 * (f1 + 4.0 * frm + f2)
         err = (s_left + s_right - s0) / 15.0
-        met = np.abs(err) <= tol0
+        met = (np.abs(err) <= tol0).all(axis=0)
         done = met | (depth >= max_depth)
         depth_exceeded |= not met[done].all()
-        total += (s_left + s_right + err)[done].sum()
-        err_total += np.abs(err[done]).sum()
+        total += (s_left + s_right + err)[:, done].sum(axis=1)
+        err_total += np.abs(err[:, done]).sum(axis=1)
         half, deeper = 0.5 * tol0, depth + 1.0
-        children = np.array([[a0, m0, f0, flm, f1, s_left, half, deeper],
-                             [m0, b0, f1, frm, f2, s_right, half, deeper]])
-        stack = np.concatenate([stack, children.transpose(0, 2, 1)[:, ~done].reshape(-1, 8)])
+        children = np.array([np.concatenate([[a0, m0, half, deeper], f0, flm, f1, s_left]),
+                             np.concatenate([[m0, b0, half, deeper], f1, frm, f2, s_right])])
+        stack = np.concatenate([stack, children.transpose(0, 2, 1)[:, ~done].reshape(-1, width)])
 
-    total, err_total = float(total), float(err_total)
+    if first.ndim == 1:
+        total, err_total = float(total[0]), float(err_total[0])
     if depth_exceeded:
         raise NumericalError(
-            f"adaptive Simpson exceeded max depth {max_depth} (achieved error ~{err_total:.3e})",
+            f"adaptive Simpson exceeded max depth {max_depth} "
+            f"(achieved error ~{np.max(err_total):.3e})",
             best_value=total,
             error_estimate=err_total,
         )

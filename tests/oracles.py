@@ -69,8 +69,12 @@ def shifted_exp_integral_mgf(alpha, cgf, lam, t):
 # ---------------------------------------------------------------------------
 
 def adaptive_simpson_depth_first(f, a: float, b: float, tol: float = None, max_depth: int = 40):
-    """The package's adaptive Simpson rule, one interval and one scalar node
-    at a time: (value, error estimate), or NumericalError past max_depth."""
+    """The package's adaptive Simpson rule, one interval and one node at a
+    time: (value, error estimate), or NumericalError past max_depth.
+
+    f maps one node to a float, or to an array of m values for m integrands
+    on one node set; an interval is then bisected while any of them misses
+    the tolerance, and value and error estimate are arrays of m entries."""
     from gvswap import NumericalError
 
     if b < a:
@@ -83,13 +87,16 @@ def adaptive_simpson_depth_first(f, a: float, b: float, tol: float = None, max_d
     def simpson(fa, fm, fb, h):
         return h / 6.0 * (fa + 4.0 * fm + fb)
 
-    fa, fb = f(a), f(b)
+    def g(x):
+        return np.asarray(f(x), dtype=float)
+
+    fa, fb = g(a), g(b)
     m = 0.5 * (a + b)
-    fm = f(m)
+    fm = g(m)
     whole = simpson(fa, fm, fb, b - a)
 
-    total = 0.0
-    err_total = 0.0
+    total = np.zeros_like(fa)
+    err_total = np.zeros_like(fa)
     depth_exceeded = False
 
     # iterative stack of (a, b, fa, fm, fb, whole, tol, depth)
@@ -99,22 +106,25 @@ def adaptive_simpson_depth_first(f, a: float, b: float, tol: float = None, max_d
         m0 = 0.5 * (a0 + b0)
         lm = 0.5 * (a0 + m0)
         rm = 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
+        flm, frm = g(lm), g(rm)
         s_left = simpson(f0, flm, f1, m0 - a0)
         s_right = simpson(f1, frm, f2, b0 - m0)
         err = (s_left + s_right - s0) / 15.0
-        if abs(err) <= tol0 or depth >= max_depth:
-            if abs(err) > tol0:
+        met = bool(np.all(np.abs(err) <= tol0))
+        if met or depth >= max_depth:
+            if not met:
                 depth_exceeded = True
-            total += s_left + s_right + err
-            err_total += abs(err)
+            total = total + s_left + s_right + err
+            err_total = err_total + np.abs(err)
         else:
             stack.append((a0, m0, f0, flm, f1, s_left, 0.5 * tol0, depth + 1))
             stack.append((m0, b0, f1, frm, f2, s_right, 0.5 * tol0, depth + 1))
 
+    if total.ndim == 0:
+        total, err_total = float(total), float(err_total)
     if depth_exceeded:
         raise NumericalError(
-            f"adaptive Simpson exceeded max depth {max_depth} (achieved error ~{err_total:.3e})",
+            f"adaptive Simpson exceeded max depth {max_depth} (achieved error ~{np.max(err_total):.3e})",
             best_value=total,
             error_estimate=err_total,
         )

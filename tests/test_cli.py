@@ -116,6 +116,22 @@ class TestPrice:
         report = json.loads(out)
         assert report["results"]["price"] == pytest.approx(refcase.PRICE_TRACE, abs=1e-5)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_fixture_omega_asymmetric_exit_2_at_any_scale(self, capsys, tmp_path, scale):
+        # entry (1, 0) is 4.5 times entry (0, 1): asymmetric in any units
+        entries = scale * np.array([[3e-13, 2e-13, 0.0], [9e-13, 3e-13, 0.0], [0.0, 0.0, 3e-13]])
+        omega = tmp_path / "omega.json"
+        omega.write_text(json.dumps({"entries": entries.reshape(-1).tolist(), "method": "fixture"}))
+        code, _, err = run(
+            capsys,
+            "price",
+            "--method", "fixture-omega",
+            "--omega", omega,
+            "--contract", FIXTURES / "contract_trace.json",
+        )
+        assert code == EXIT_INPUT
+        assert "symmetric" in err
+
     def test_fixture_omega_eigenvalue_reproduction(self, capsys):
         code, out, _ = run(
             capsys,

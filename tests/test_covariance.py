@@ -194,10 +194,10 @@ class TestEngineEquivalence:
 
         p_max = 4
         for pair, r in (((0, 1), base_params.triple.r2), ((2, 0), base_params.triple.r3)):
-            engine = _PairSeriesEngine(base_params, pair, p_max)
+            engine = _PairSeriesEngine(base_params, [pair], p_max)
             s = _math.sqrt(1 - r * r)
             for t in (0.5, 2.0, 10.0):
-                M = engine.product_moments(t)
+                M = engine.product_moments(t)[0]
                 lam = base_params.lam
                 for p in range(p_max + 1):
                     total = sum(
@@ -222,10 +222,10 @@ class TestEngineEquivalence:
         s2 = _math.sqrt(1 - tr.r2**2)
         s3 = _math.sqrt(1 - tr.r3**2)
         p_max = 3
-        engine = _PairSeriesEngine(base_params, (1, 2), p_max)
+        engine = _PairSeriesEngine(base_params, [(1, 2)], p_max)
         lam = base_params.lam
         for t in (0.5, 2.0):
-            M = engine.product_moments(t)
+            M = engine.product_moments(t)[0]
             for p in range(p_max + 1):
                 total = 0.0
                 for u in range(p + 1):
@@ -263,13 +263,17 @@ class TestEngineEquivalence:
         params = make_params(**overrides)
         times = np.array([0.0, 0.5, 10.0, 252.0])
         for pair in [(0, 1), (1, 2), (2, 0)]:
-            engine = _PairSeriesEngine(params, pair, 8)
-            batch = engine.product_moments(times)
+            engine = _PairSeriesEngine(params, [pair], 8)
+            batch = engine.product_moments(times)[0]
             for k, t in enumerate(times):
                 want = multinomial_product_moments(params, pair, 8, t)
                 np.testing.assert_allclose(batch[:, k], want, rtol=1e-13, atol=0.0)
                 # one node-vector call equals the stacked scalar calls
-                assert np.array_equal(batch[:, k], engine.product_moments(t))
+                assert np.array_equal(batch[:, k], engine.product_moments(t)[0])
+        # a matrix's engine, one 4-column table for all pairs, equals the pairs' own
+        shared = _PairSeriesEngine(params, [(0, 1), (1, 2), (2, 0)], 8).product_moments(times)
+        for k, pair in enumerate([(0, 1), (1, 2), (2, 0)]):
+            assert np.array_equal(shared[k], _PairSeriesEngine(params, [pair], 8).product_moments(times)[0])
 
 
 class TestApproxRoute:
@@ -285,9 +289,9 @@ class TestApproxRoute:
         from gvswap.covariance import _PairSeriesEngine
 
         for pair in [(0, 1), (1, 2), (2, 0)]:
-            engine = _PairSeriesEngine(base_params, pair, 2)
+            engine = _PairSeriesEngine(base_params, [pair], 2)
             for t in (0.5, 5.0, 50.0, 252.0):
-                m_engine = engine.product_moments(t)[1]
+                m_engine = engine.product_moments(t)[0, 1]
                 m_direct, _ = _PairApproxEngine(base_params, pair).mean_and_variance(t)
                 assert m_direct == pytest.approx(m_engine, rel=1e-11)
 
@@ -295,9 +299,9 @@ class TestApproxRoute:
         from gvswap.covariance import _PairSeriesEngine
 
         for pair in [(0, 1), (1, 2), (2, 0)]:
-            engine = _PairSeriesEngine(base_params, pair, 2)
+            engine = _PairSeriesEngine(base_params, [pair], 2)
             for t in (0.5, 5.0, 50.0, 252.0):
-                m = engine.product_moments(t)
+                m = engine.product_moments(t)[0]
                 var_engine = m[2] - m[1] ** 2
                 _, var_direct = _PairApproxEngine(base_params, pair).mean_and_variance(t)
                 assert var_direct == pytest.approx(var_engine, rel=1e-9)
@@ -338,7 +342,12 @@ class TestApproxRoute:
         np.testing.assert_allclose(got, np.sqrt(m) - v / (8.0 * m**1.5), rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("route", [expected_cov_series, expected_cov_approx])
+@pytest.mark.parametrize("route", [
+    expected_cov_series,
+    expected_cov_approx,
+    lambda pair, params: expected_cov_matrix(params, "series"),
+    lambda pair, params: expected_cov_matrix(params, "approx"),
+], ids=["expected_cov_series", "expected_cov_approx", "matrix-series", "matrix-approx"])
 def test_negative_product_mean_raises(monkeypatch, base_params, route):
     from gvswap.covariance import _PairSeriesEngine
 
@@ -346,7 +355,7 @@ def test_negative_product_mean_raises(monkeypatch, base_params, route):
 
     def negated_mean(self, t):
         M = real(self, t)
-        M[1] = -M[1]
+        M[:, 1] = -M[:, 1]
         return M
 
     monkeypatch.setattr(_PairSeriesEngine, "product_moments", negated_mean)
@@ -424,3 +433,109 @@ class TestMatrixAssembly:
         bad = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ParameterError):
             ExpectedCovMatrix(entries=bad, method="fixture", diagnostics={})
+
+
+def _high_gamma_params():
+    """Gamma shape 25 with every variance at 4x its long-run level: the pairs'
+    own quadratures need 65, 73 and 65 nodes."""
+    spec = SubordinatorSpec(Family.GAMMA, 25.0, 25.0 / 5e-5)
+    levels = [make_params(spec=spec).triple.derived_cumulant(i + 1, 1) for i in range(3)]
+    return make_params(spec=spec, sigma0_sq=[4.0 * level for level in levels])
+
+
+class TestOneQuadratureRunPerMatrix:
+    """The three off-diagonals of a matrix share one integrand, one
+    adaptive_simpson run and one moment table per integrand call."""
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    @pytest.mark.parametrize("case", ["base", "high-gamma"])
+    def test_counts(self, monkeypatch, base_params, case, method):
+        import gvswap.covariance as covariance
+
+        params = base_params if case == "base" else _high_gamma_params()
+        calls = {"quadrature": 0, "integrand": 0, "tables": 0, "nodes": 0}
+        simpson, table = covariance.adaptive_simpson, covariance.scaled_moment_table
+
+        def counted_simpson(f, *args, **kwargs):
+            calls["quadrature"] += 1
+
+            def counted_f(t):
+                calls["integrand"] += 1
+                calls["nodes"] += t.size
+                return f(t)
+
+            return simpson(counted_f, *args, **kwargs)
+
+        def counted_table(*args, **kwargs):
+            calls["tables"] += 1
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(covariance, "adaptive_simpson", counted_simpson)
+        monkeypatch.setattr(covariance, "scaled_moment_table", counted_table)
+        matrix = expected_cov_matrix(params, method)
+        assert calls["quadrature"] == 1
+        # one table per integrand call, and one for the series tail's probes
+        assert calls["tables"] == calls["integrand"] + (method == "series")
+        for key in ("01", "12", "02"):
+            assert matrix.diagnostics[key]["evals"] == calls["nodes"]
+
+    def test_high_gamma_pairs_alone_need_different_node_sets(self):
+        params = _high_gamma_params()
+        evals = [expected_cov_series(pair, params)[1]["evals"] for pair in [(0, 1), (1, 2), (2, 0)]]
+        assert evals == [65, 73, 65]
+        assert expected_cov_matrix(params, "series").diagnostics["01"]["evals"] == 73
+
+
+def _tight_offdiagonals(params, method):
+    """Off-diagonals from each pair's own adaptive_simpson run at tolerance
+    1e-17 T, on the route's integrand."""
+    from gvswap.covariance import _collapsed_weights, _jump_term, _PairSeriesEngine, _series_point
+
+    order = params.kmax if method == "series" else 2
+    weights, T = _collapsed_weights(order), params.horizon
+    out = {}
+    for i, j in [(0, 1), (1, 2), (2, 0)]:
+        engine = _PairSeriesEngine(params, [(i, j)], order)
+        value, _ = adaptive_simpson(lambda t: _series_point(engine, weights, t, None)[0], 0.0, T, tol=1e-17 * T)
+        out[i, j] = params.gamma[i, j] * value / T + _jump_term(params, i, j, "consistent")
+    return out
+
+
+def _rescaled_params(c):
+    """The gamma fixture of test_units_invariance at variance scale c."""
+    spec = SubordinatorSpec(Family.GAMMA, 100.0, 2.0e6 / c)
+    return make_params(
+        spec=spec,
+        sigma0_sq=[4.0 * 5e-5 * c, 5e-5 * c, 0.25 * 5e-5 * c],
+        rho=tuple(-r / math.sqrt(c) for r in (0.8, 0.5, 0.6)),
+    )
+
+
+class TestMatrixAccuracy:
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    @pytest.mark.parametrize("case", ["base", "ig", "zero", "rescaled-1e-4"])
+    def test_no_less_accurate_than_the_pairs_alone(self, request, case, method):
+        # the shared node set contains every pair's own, since an interval is
+        # bisected while any pair misses the tolerance
+        params = {
+            "base": lambda: request.getfixturevalue("base_params"),
+            "ig": lambda: request.getfixturevalue("ig_params"),
+            "zero": lambda: request.getfixturevalue("zero_params"),
+            "rescaled-1e-4": lambda: _rescaled_params(1e-4),
+        }[case]()
+        route = expected_cov_series if method == "series" else expected_cov_approx
+        reference = _tight_offdiagonals(params, method)
+        matrix = expected_cov_matrix(params, method).entries
+        pair_error = max(abs(route(pair, params)[0] / want - 1.0) for pair, want in reference.items())
+        matrix_error = max(abs(matrix[pair] / want - 1.0) for pair, want in reference.items())
+        assert matrix_error <= pair_error
+
+    @pytest.mark.parametrize("route, want", [
+        (expected_cov_series, (-1.1844028971460707e-06, -5.5781129052131894e-06, -1.627626066002854e-06)),
+        (expected_cov_approx, (-1.1843952100717732e-06, -5.578097332082723e-06, -1.6276117709419547e-06)),
+    ], ids=["series", "approx"])
+    def test_pair_routes_keep_their_values(self, base_params, route, want):
+        # values of the per-pair routes on the base fixture before the matrix
+        # shared one quadrature run; each pair still runs alone
+        got = tuple(route(pair, base_params)[0] for pair in [(0, 1), (1, 2), (2, 0)])
+        assert got == want

@@ -109,7 +109,8 @@ def _assert_same(f, a, b, **kwargs):
 
 def _captured_integrand(monkeypatch, route, pair, params):
     """(integrand, a, b) that `route` hands to the quadrature, and the
-    entry's diagnostics."""
+    entry's diagnostics; the integrand's one row, for the route's one pair,
+    is returned as a 1-D integrand."""
     import gvswap.covariance as covariance
 
     seen = []
@@ -123,7 +124,7 @@ def _captured_integrand(monkeypatch, route, pair, params):
     _, diag = route(pair, params)
     monkeypatch.undo()
     (f, a, b), = seen
-    return f, a, b, diag
+    return lambda t: f(t)[0], a, b, diag
 
 
 class TestBatchedMatchesDepthFirst:
@@ -148,3 +149,99 @@ class TestBatchedMatchesDepthFirst:
         # the entry's node count is the reference's, and repeats exactly
         assert diag["evals"] == len(nodes)
         assert route(pair, base_params)[1]["evals"] == diag["evals"]
+
+
+# ---------------------------------------------------------------------------
+# vector integrands: one node set for several rows
+# ---------------------------------------------------------------------------
+
+def _vector_rules(f, a, b, **kwargs):
+    """Outcome and sorted node list of the batched rule on the (m, n)-valued
+    f and of the reference on its one-node calls, which return m values."""
+    batched_nodes, scalar_nodes = [], []
+
+    def batched(t):
+        batched_nodes.extend(t.tolist())
+        return f(t)
+
+    def scalar(t):
+        scalar_nodes.append(t)
+        return f(np.array([t]))[:, 0]
+
+    got = _outcome(adaptive_simpson, batched, a, b, **kwargs)
+    want = _outcome(adaptive_simpson_depth_first, scalar, a, b, **kwargs)
+    return got, sorted(batched_nodes), want, sorted(scalar_nodes)
+
+
+def _assert_same_vector(f, a, b, **kwargs):
+    got, got_nodes, want, want_nodes = _vector_rules(f, a, b, **kwargs)
+    assert got_nodes == want_nodes
+    assert got[0] == want[0]
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-14, atol=0.0)
+    return got, want_nodes
+
+
+def _nodes(f, a, b, **kwargs):
+    """Outcome of the batched rule on f and the sorted nodes it visited."""
+    seen = []
+
+    def record(t):
+        seen.extend(t.tolist())
+        return f(t)
+
+    return _outcome(adaptive_simpson, record, a, b, **kwargs), sorted(seen)
+
+
+def _needle(t):
+    return np.exp(-(((t - 0.5) / 1e-6) ** 2))
+
+
+class TestVectorMatchesDepthFirst:
+    def test_rows_of_different_difficulty(self):
+        rows = lambda t: np.stack([np.exp(-0.4 * t), np.sin(t) * np.exp(-t / 3.0), 1e-12 * t])  # noqa: E731
+        got, nodes = _assert_same_vector(rows, 0.0, 10.0)
+        assert got[0] == "ok" and got[1].shape == (3,) and len(nodes) > 64
+
+    def test_node_set_is_the_union_of_the_rows(self):
+        # an interval is bisected while any row misses the tolerance, so the
+        # rows' own node sets all lie in the shared one
+        funcs = (lambda t: np.exp(-0.4 * t), lambda t: np.sin(t) * np.exp(-t / 3.0))
+        _, shared = _nodes(lambda t: np.stack([g(t) for g in funcs]), 0.0, 10.0)
+        alone = [_nodes(g, 0.0, 10.0)[1] for g in funcs]
+        assert len(alone[0]) != len(alone[1])
+        assert set(shared) == set(alone[0]) | set(alone[1])
+
+    def test_one_row_is_the_scalar_rule(self):
+        f = lambda t: np.sin(t) * np.exp(-t / 3.0)  # noqa: E731
+        value, err = adaptive_simpson(lambda t: f(t)[None], 0.0, 10.0)
+        assert (value.shape, err.shape) == ((1,), (1,))
+        assert (value[0], err[0]) == adaptive_simpson(f, 0.0, 10.0)
+
+    def test_past_max_depth_with_rows_of_different_depths(self):
+        # alone, the smooth row converges and the needle does not; together
+        # the needle's depth applies to both, and both carry their best values
+        kwargs = dict(tol=1e-12, max_depth=10)
+        smooth = lambda t: np.exp(-0.4 * t)  # noqa: E731
+        assert _nodes(smooth, 0.0, 1.0, **kwargs)[0][0] == "ok"
+        assert _nodes(_needle, 0.0, 1.0, **kwargs)[0][0] == "depth"
+        got, _ = _assert_same_vector(lambda t: np.stack([smooth(t), _needle(t)]), 0.0, 1.0, **kwargs)
+        assert got[0] == "depth" and got[1].shape == (2,)
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    def test_matrix_integrand(self, monkeypatch, base_params, method):
+        import gvswap.covariance as covariance
+
+        seen = []
+        real = covariance.adaptive_simpson
+
+        def capture(f, a, b, *args, **kwargs):
+            seen.append((f, a, b))
+            return real(f, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(covariance, "adaptive_simpson", capture)
+        matrix = covariance.expected_cov_matrix(base_params, method)
+        monkeypatch.undo()
+        (f, a, b), = seen
+        _, nodes = _assert_same_vector(f, a, b)
+        assert {matrix.diagnostics[k]["evals"] for k in ("01", "12", "02")} == {len(nodes)}
