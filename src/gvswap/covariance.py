@@ -7,24 +7,19 @@ Each off-diagonal entry, for an asset pair (i, j), is
 
 where the last term is the expected sum of squared common jumps.  Both routes
 evaluate E[sigma_i sigma_j] = E[sqrt(P)], P = sigma_i^2 sigma_j^2, by a
-truncated binomial expansion of the square root around a center C(t)^2,
+truncated binomial expansion of the square root about the exact product mean
+m(t) = E[P](t) at each quadrature node,
 
-    sqrt(P) = C * sum_k binom(1/2, k) (P/C^2 - 1)^k,
+    sqrt(P) = sqrt(m) * sum_k binom(1/2, k) (P/m - 1)^k,
 
 with the product moments E[P^p] assembled by one engine from the
-independent-leg decomposition of the two variance processes.  They differ
-only in the order and the center:
+independent-leg decomposition of the two variance processes.  The centered
+argument has mean zero for every t, and the deterministic limit is exact at
+order zero.  The routes differ only in the order:
 
-* series: order params.kmax.  By default the center is the exact first
-  moment E[P](t) per quadrature node ("adaptive"), which keeps the expansion
-  argument mean-zero for every t and makes the deterministic limit exact at
-  order zero.  The "fixed" center uses the bounding levels beta of the
-  parameter set, matching the bounded-volatility form of the expansion; its
-  truncation error grows when the two initial variances are far apart.
-* approx: the two-term delta expansion
-  sqrt(P) ~ sqrt(E P) - Var P / (8 (E P)^(3/2)), which is the adaptive-center
-  series at order 2: the centered argument has mean zero and
-  binom(1/2, 2) = -1/8.
+* series: order params.kmax.
+* approx: order 2, the two-term delta expansion
+  sqrt(P) ~ sqrt(E P) - Var P / (8 (E P)^(3/2)), since binom(1/2, 2) = -1/8.
 
 Neither route checks the other; the Monte Carlo oracle in mc.py does.
 
@@ -46,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, SingularConfigurationError
+from .errors import NumericalError, ParameterError
 from .moments import scaled_moment_table
 from .params import PAIR_ORDER, ModelParams
 from .quadrature import adaptive_simpson
@@ -175,22 +170,21 @@ class _PairSeriesEngine:
         return M.transpose(1, 2, 0).reshape((len(self.pairs), K + 1) + np.shape(t))
 
 
-def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray, center_sq):
-    """(M_p / C^(2p) for p = 0..kmax, C, M_1, and whether M_1 is below
-    _TINY_PRODUCT) of every pair at an array of times, for the center C^2
-    (None: M_1); the first three have shape (pairs, kmax + 1, nodes), the
-    others (pairs, nodes)."""
+def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray):
+    """(M_p / M_1^p for p = 0..kmax, sqrt(M_1), M_1, and whether M_1 is below
+    _TINY_PRODUCT) of every pair at an array of times; the first has shape
+    (pairs, kmax + 1, nodes), the others (pairs, nodes)."""
     M = engine.product_moments(t)
     m2 = M[:, 1]
     tiny = m2 < _TINY_PRODUCT
-    c2 = np.where(tiny, 1.0, m2 if center_sq is None else center_sq)
+    c2 = np.where(tiny, 1.0, m2)
     return M / c2[:, None] ** np.arange(engine.kmax + 1)[:, None], np.sqrt(c2), m2, tiny
 
 
-def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray, center_sq) -> np.ndarray:
+def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
     """E[sigma_i sigma_j] of every pair from the truncated expansion at an
     array of times; shape (pairs, nodes)."""
-    Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
+    Mn, root, m2, tiny = _centered_moments(engine, t)
     if (m2 < 0.0).any():
         pair, k = np.argwhere(m2 < 0.0)[0]
         raise NumericalError(f"negative product mean {m2[pair, k]} at t={t[k]}")
@@ -200,9 +194,9 @@ def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray,
     return np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * value)
 
 
-def _series_tail(engine: _PairSeriesEngine, t: np.ndarray, center_sq) -> np.ndarray:
+def _series_tail(engine: _PairSeriesEngine, t: np.ndarray) -> np.ndarray:
     """Largest |last retained term| / |full sum| over an array of times, per pair."""
-    Mn, root, m2, tiny = _centered_moments(engine, t, center_sq)
+    Mn, root, m2, tiny = _centered_moments(engine, t)
     K = engine.kmax
     # E[x^k] = sum_p C(k, p) (-1)^(k-p) E[(1 + x)^p], x the centered argument
     signed = np.array([[math.comb(k, p) * (-1) ** (k - p) for p in range(K + 1)] for k in range(K + 1)])
@@ -212,11 +206,10 @@ def _series_tail(engine: _PairSeriesEngine, t: np.ndarray, center_sq) -> np.ndar
     return np.divide(last, total, out=np.zeros_like(last), where=total != 0.0).max(axis=1)
 
 
-def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, center_sq, jump_convention: str,
-                     tail: bool) -> list:
+def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, tail: bool) -> list:
     """(entry, diagnostics) of each of the engine's pairs (i, j):
     gamma_ij / T int_0^T E[sigma_i sigma_j] dt plus the jump term, with
-    E[sigma_i sigma_j] expanded to the engine's order about C^2 (None: M_1).
+    E[sigma_i sigma_j] expanded to the engine's order about M_1.
     All pairs share one integrand, one quadrature run and so one node set;
     with tail, the diagnostics carry the series tail at 5 probe times."""
     T = params.horizon
@@ -226,17 +219,17 @@ def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, center_sq, 
     def integrand(t: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += t.size
-        return _series_point(engine, weights, t, center_sq)
+        return _series_point(engine, weights, t)
 
     values, errs = adaptive_simpson(integrand, 0.0, T)
-    tails = _series_tail(engine, np.linspace(0.0, T, 5), center_sq) if tail else None
+    tails = _series_tail(engine, np.linspace(0.0, T, 5)) if tail else None
     entries = []
     for k, (i, j) in enumerate(engine.pairs):
         gamma_ij = float(params.gamma[i, j])
         diag = {"quad_error": abs(gamma_ij) * float(errs[k]) / T, "evals": evals}
         if tail:
             diag.update(series_tail=float(tails[k]), kmax=engine.kmax)
-        jump = _jump_term(params, i, j, jump_convention)
+        jump = _jump_term(params, i, j, "consistent")
         diag["jump_term"] = jump
         entries.append((gamma_ij * float(values[k]) / T + jump, diag))
     return entries
@@ -264,68 +257,21 @@ def expected_var_leg(
     return value + jump, {"jump_term": jump}
 
 
-def _check_series_pairs(params: ModelParams, pairs) -> None:
-    """The series route's documented precondition of pair (1, 2)'s
-    decomposition (the engine's positive regrouping is actually regular
-    there, but the published leg products are not)."""
-    if (1, 2) in pairs:
-        if params.triple.r2 <= 0.0:
-            raise SingularConfigurationError("pair (1, 2) series requires r2 > 0")
-        if params.triple.r3 >= 1.0:
-            raise SingularConfigurationError("pair (1, 2) series requires r3 < 1")
-
-
-def expected_cov_series(
-    pair,
-    params: ModelParams,
-    *,
-    center: str = "adaptive",
-    jump_convention: str = "consistent",
-) -> tuple[float, dict]:
+def expected_cov_series(pair, params: ModelParams) -> tuple[float, dict]:
     """Off-diagonal expected covariance by the truncated binomial series,
-    to order params.kmax.
-
-    Parameters
-    ----------
-    center : "adaptive" or "fixed"
-        Expansion center: the exact product mean per node, or the constant
-        bounding level beta of the parameter set.
-    """
-    i, j = _pair_index(pair)
-    if center not in ("adaptive", "fixed"):
-        raise ParameterError(f"unknown center {center!r}")
-    _check_series_pairs(params, [(i, j)])
-    engine = _PairSeriesEngine(params, [(i, j)], params.kmax)
-
-    center_sq = None
-    if center == "fixed":
-        beta = params.beta_for((i, j))
-        center_sq = beta**4
-        # convergence requires the t=0 argument inside the unit ball
-        argument = engine.product_moments(0.0)[0, 1] / center_sq - 1.0
-        if abs(argument) >= 1.0:
-            raise ParameterError(
-                f"series argument at t=0 is {argument:+.3f} for beta={beta}; "
-                "|argument| must be < 1"
-            )
-
-    (value, diag), = _integrate_pairs(params, engine, center_sq, jump_convention, tail=True)
-    if center == "fixed":
-        diag["argument_t0"] = argument
+    to order params.kmax, about the exact product mean at each node."""
+    engine = _PairSeriesEngine(params, [pair], params.kmax)
+    (value, diag), = _integrate_pairs(params, engine, tail=True)
     return value, diag
 
 
-def expected_cov_approx(
-    pair,
-    params: ModelParams,
-    jump_convention: str = "consistent",
-) -> tuple[float, dict]:
+def expected_cov_approx(pair, params: ModelParams) -> tuple[float, dict]:
     """Off-diagonal expected covariance by the two-term delta expansion
     sqrt(E P) - Var P / (8 (E P)^(3/2)) of the product P = sigma_i^2 sigma_j^2:
     the series about the exact mean E P cut at order 2, since the centered
     argument has mean zero and binom(1/2, 2) = -1/8."""
     engine = _PairSeriesEngine(params, [pair], 2)
-    (value, diag), = _integrate_pairs(params, engine, None, jump_convention, tail=False)
+    (value, diag), = _integrate_pairs(params, engine, tail=False)
     return value, diag
 
 
@@ -398,10 +344,8 @@ def expected_cov_matrix(params: ModelParams, method: str = "series") -> Expected
     diagonal, _, diagnostics = expected_diagonal(params, method)
     entries = np.diag(diagonal)
     series = method == "series"
-    if series:
-        _check_series_pairs(params, PAIR_ORDER)
     engine = _PairSeriesEngine(params, PAIR_ORDER, params.kmax if series else 2)
-    for (i, j), (value, diag) in zip(PAIR_ORDER, _integrate_pairs(params, engine, None, "consistent", series)):
+    for (i, j), (value, diag) in zip(PAIR_ORDER, _integrate_pairs(params, engine, series)):
         entries[i, j] = entries[j, i] = value
         diagnostics[f"{min(i, j)}{max(i, j)}"] = diag
     return ExpectedCovMatrix(entries=entries, method=method, diagnostics=diagnostics)

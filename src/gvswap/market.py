@@ -203,7 +203,6 @@ def estimate_params(series, overrides: dict = None) -> ModelParams:
         "z_star_star": dict(_DEFAULT_SUBORDINATOR),
         "rate": 0.0,
         "horizon": 252.0,
-        "beta": None,
         "kmax": 8,
     }
 

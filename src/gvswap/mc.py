@@ -42,11 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import ExpectedCovMatrix, expected_cov_matrix
+from .covariance import ExpectedCovMatrix
 from .errors import DomainError, ParameterError
 from .params import ModelParams
-from .pricing import PricingResult, SwapContract, SwapKind
-from .weights import feasible_weights, qr_constraint_basis
 
 _SCAN_SEGMENT = 512  # bounds the exponent range of the variance scan
 _MAX_SCAN_EXPONENT = 300.0  # largest lam * dt * k in a segment; exp(709) overflows
@@ -241,46 +239,5 @@ def mc_expected_cov(params: ModelParams, config: SimulationConfig,
             "n_paths": config.n_paths,
             "n_steps": config.n_steps,
             "seed": config.seed,
-        },
-    )
-
-
-def mc_price(params: ModelParams, contract: SwapContract, config: SimulationConfig,
-             cov_method: str = "approx", bundle: PathBundle = None) -> PricingResult:
-    """Monte Carlo swap price with a standard error.
-
-    Trace contracts average the per-path trace payoff.  Max-eigenvalue
-    contracts fix the weights from the analytic expected-covariance route
-    (cov_method) and average the per-path quadratic form at those weights,
-    matching the analytic pricing convention.
-    """
-    if bundle is None:
-        bundle = simulate(params, config)
-    discount = contract.discount
-    if contract.kind is SwapKind.TRACE:
-        per_path = bundle.realized.trace(axis1=1, axis2=2)
-        label = "mc/trace"
-        extra = {}
-    else:
-        cov = expected_cov_matrix(params, method=cov_method)
-        basis = qr_constraint_basis(params.mu, contract.target_return)
-        fw = feasible_weights(basis, cov.entries)
-        per_path = np.einsum("i,pij,j->p", fw.w, bundle.realized, fw.w)
-        label = f"mc/eigenvalue[{cov_method}]"
-        extra = {"weights": [float(x) for x in fw.w]}
-    mean, stderr = _mean_and_stderr(per_path)
-    metric = float(mean)
-    return PricingResult(
-        price=discount * (metric - contract.strike),
-        expected_metric=metric,
-        discount=discount,
-        method=label,
-        diagnostics={
-            "stderr_metric": float(stderr),
-            "stderr_price": discount * float(stderr),
-            "n_paths": config.n_paths,
-            "n_steps": config.n_steps,
-            "seed": config.seed,
-            **extra,
         },
     )

@@ -2,18 +2,19 @@
 
 Time unit is trading days throughout: the mean-reversion rate, drifts,
 variances and the risk-free rate are all per day, and the horizon is in days.
+The JSON form reads only the keys it knows, so the "beta" bounding levels
+that older parameter files carry are ignored.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .subordinators import CorrelatedTriple, SubordinatorSpec
+from .subordinators import CorrelatedTriple
 
 #: canonical order of the three asset pairs: (0,1), (1,2), (2,0)
 PAIR_ORDER = ((0, 1), (1, 2), (2, 0))
@@ -64,10 +65,6 @@ class ModelParams:
         Risk-free rate per day.
     horizon : float
         Pricing horizon T in days.
-    beta : optional three floats
-        Bounding levels used by the fixed-center series variant, ordered by
-        PAIR_ORDER.  Default: sqrt(max of the pair's initial variances plus
-        ten stationary standard deviations' worth of driver variance).
     kmax : int
         Series truncation order.
     """
@@ -78,7 +75,6 @@ class ModelParams:
     triple: CorrelatedTriple
     rate: float = 0.0
     horizon: float = 252.0
-    beta: tuple[float, float, float] | None = None
     kmax: int = 8
 
     def __post_init__(self):
@@ -98,31 +94,6 @@ class ModelParams:
                     f"positive leverage rho={a.rho}: the model is usually stated with rho <= 0",
                     stacklevel=3,
                 )
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.default_beta())
-        else:
-            beta = tuple(float(b) for b in self.beta)
-            if len(beta) != 3 or any(b <= 0 for b in beta):
-                raise ParameterError("beta must be three positive bounds ordered by PAIR_ORDER")
-            for (i, j), b in zip(PAIR_ORDER, beta):
-                if b * b < max(self.assets[i].sigma0_sq, self.assets[j].sigma0_sq) - 1e-15:
-                    raise ParameterError(
-                        f"beta^2 for pair {(i, j)} must dominate both initial variances"
-                    )
-            object.__setattr__(self, "beta", beta)
-
-    def default_beta(self) -> tuple[float, float, float]:
-        buffer = 10.0 * self.triple.z1._cumulant_any(2) / (2.0 * self.lam)
-        out = []
-        for i, j in PAIR_ORDER:
-            out.append(math.sqrt(max(self.assets[i].sigma0_sq, self.assets[j].sigma0_sq) + buffer))
-        return tuple(out)
-
-    def beta_for(self, pair: tuple[int, int]) -> float:
-        for (i, j), b in zip(PAIR_ORDER, self.beta):
-            if {i, j} == set(pair):
-                return b
-        raise ParameterError(f"unknown asset pair {pair}")
 
     # -- per-asset driver views ---------------------------------------------
     def asset_cumulant_sequence(self, i: int, max_order: int) -> np.ndarray:
@@ -152,14 +123,9 @@ class ModelParams:
             ],
             "lambda": self.lam,
             "gamma": [[float(x) for x in row] for row in self.gamma],
-            "r2": self.triple.r2,
-            "r3": self.triple.r3,
-            "z1": self.triple.z1.to_json_dict(),
-            "z_star": self.triple.z_star.to_json_dict(),
-            "z_star_star": self.triple.z_star_star.to_json_dict(),
+            **self.triple.to_json_dict(),
             "rate": self.rate,
             "horizon": self.horizon,
-            "beta": list(self.beta),
             "kmax": self.kmax,
         }
 
@@ -169,20 +135,12 @@ class ModelParams:
             AssetParams(float(a["mu"]), float(a["sigma0_sq"]), float(a["rho"]))
             for a in d["assets"]
         )
-        triple = CorrelatedTriple(
-            r2=float(d["r2"]),
-            r3=float(d["r3"]),
-            z1=SubordinatorSpec.from_json_dict(d["z1"]),
-            z_star=SubordinatorSpec.from_json_dict(d["z_star"]),
-            z_star_star=SubordinatorSpec.from_json_dict(d["z_star_star"]),
-        )
         return cls(
             assets=assets,
             lam=float(d["lambda"]),
             gamma=d["gamma"],
-            triple=triple,
+            triple=CorrelatedTriple.from_json_dict(d),
             rate=float(d.get("rate", 0.0)),
             horizon=float(d.get("horizon", 252.0)),
-            beta=tuple(d["beta"]) if d.get("beta") is not None else None,
             kmax=int(d.get("kmax", 8)),
         )

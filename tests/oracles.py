@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own computational paths:
 finite differences against generating functions, brute-force path simulation
 (including the full per-path system with log prices and antithetic twins),
-rational arithmetic, and closed forms derived separately.
+rational arithmetic, and closed forms derived separately.  The exception is
+mc_price, the package's simulation priced as a swap, which only tests use.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from gvswap.covariance import expected_cov_matrix
+from gvswap.mc import PathBundle, SimulationConfig, _mean_and_stderr, simulate
+from gvswap.params import ModelParams
+from gvswap.pricing import PricingResult, SwapContract, SwapKind
+from gvswap.weights import feasible_weights, qr_constraint_basis
 
 # ---------------------------------------------------------------------------
 # finite-difference differentiation of generating functions
@@ -371,3 +378,48 @@ def symbolic_basis_mu1_zero(mu2: float, mu3: float):
         ]
     )
     return p, r
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo swap price
+# ---------------------------------------------------------------------------
+
+def mc_price(params: ModelParams, contract: SwapContract, config: SimulationConfig,
+             cov_method: str = "approx", bundle: PathBundle = None) -> PricingResult:
+    """Monte Carlo swap price with a standard error.
+
+    Trace contracts average the per-path trace payoff.  Max-eigenvalue
+    contracts fix the weights from the analytic expected-covariance route
+    (cov_method) and average the per-path quadratic form at those weights,
+    matching the analytic pricing convention.
+    """
+    if bundle is None:
+        bundle = simulate(params, config)
+    discount = contract.discount
+    if contract.kind is SwapKind.TRACE:
+        per_path = bundle.realized.trace(axis1=1, axis2=2)
+        label = "mc/trace"
+        extra = {}
+    else:
+        cov = expected_cov_matrix(params, method=cov_method)
+        basis = qr_constraint_basis(params.mu, contract.target_return)
+        fw = feasible_weights(basis, cov.entries)
+        per_path = np.einsum("i,pij,j->p", fw.w, bundle.realized, fw.w)
+        label = f"mc/eigenvalue[{cov_method}]"
+        extra = {"weights": [float(x) for x in fw.w]}
+    mean, stderr = _mean_and_stderr(per_path)
+    metric = float(mean)
+    return PricingResult(
+        price=discount * (metric - contract.strike),
+        expected_metric=metric,
+        discount=discount,
+        method=label,
+        diagnostics={
+            "stderr_metric": float(stderr),
+            "stderr_price": discount * float(stderr),
+            "n_paths": config.n_paths,
+            "n_steps": config.n_steps,
+            "seed": config.seed,
+            **extra,
+        },
+    )

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import gvswap
 from gvswap import (
     ModelParams,
     NumericalError,
@@ -280,8 +285,8 @@ class TestPrice:
         assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
 
     def test_trace_series_at_r2_zero(self, capsys, tmp_path):
-        # the (1, 2) series precondition r2 > 0 belongs to an off-diagonal,
-        # which a trace swap does not read; the eigenvalue swap still needs it
+        # the trace reads only the closed-form diagonal; the eigenvalue swap
+        # also reads pair (1, 2), whose series engine is regular at r2 = 0
         params = json.loads((FIXTURES / "base_params.json").read_text())
         params["r2"] = 0.0
         path = tmp_path / "r2zero.json"
@@ -293,9 +298,25 @@ class TestPrice:
             assert code == EXIT_OK
             metric = json.loads(out)["results"]["expected_metric"]
             assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
-            code, _, err = run(capsys, *argv, FIXTURES / "contract_eigenvalue.json")
-        assert code == EXIT_INPUT
-        assert "r2 > 0" in err
+            code, _, _ = run(capsys, *argv, FIXTURES / "contract_eigenvalue.json")
+        assert code == EXIT_OK
+
+    def test_beta_key_ignored(self, capsys, tmp_path):
+        # older parameter files carry "beta" bounding levels; these are far
+        # below the initial variances, and nothing reads them
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        params.pop("beta")
+        reports = []
+        for extra in ({}, {"beta": [1e-6, 1e-6, 1e-6]}):
+            path = tmp_path / "params.json"
+            path.write_text(dumps_17({**params, **extra}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code, out, _ = run(capsys, "price", "--params", path, "--method", "series",
+                                   "--contract", FIXTURES / "contract_eigenvalue.json")
+            assert code == EXIT_OK
+            reports.append(re.sub(r'"wall_time_s": [^,\n]*', "", out))
+        assert reports[0] == reports[1]
 
     def test_reports_reproducible(self, capsys):
         args = (
@@ -343,7 +364,6 @@ class TestTracePath:
     @pytest.mark.parametrize("case", ["gamma", "ig", "zero", "gamma-1e-4"])
     def test_bitwise_trace_of_full_matrix(self, capsys, tmp_path, method, case):
         params = json.loads((FIXTURES / "base_params.json").read_text())
-        params["beta"] = None
         scale = 1e-4 if case.endswith("1e-4") else 1.0
         # the exact rescaling of the model: variances and driver laws by c,
         # leverages by c^(-1/2)
@@ -420,7 +440,6 @@ class TestVerify:
             params[key] = {"family": "zero"}
         for asset in params["assets"]:
             asset["rho"] = 0.0
-        params["beta"] = None
         path = tmp_path / "zero.json"
         path.write_text(dumps_17(params))
         code, out, _ = run(
@@ -529,3 +548,13 @@ class TestReportFormat:
     def test_round_trip_via_json(self):
         payload = {"a": 1.5, "b": [1, 2.25, {"c": "s"}], "d": None, "e": True}
         assert json.loads(dumps_17(payload)) == payload
+
+
+class TestDependencies:
+    def test_package_imports_no_scipy(self):
+        # the package depends on numpy alone (pyproject.toml)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gvswap.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, gvswap.cli, gvswap.refcase; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -7,7 +7,6 @@ from gvswap import (
     Family,
     NumericalError,
     ParameterError,
-    SingularConfigurationError,
     SubordinatorSpec,
     expected_cov_approx,
     expected_cov_matrix,
@@ -158,27 +157,22 @@ class TestSeriesRoute:
         _, diag = expected_cov_series((0, 1), base_params)
         assert diag["series_tail"] < 1e-6
 
-    def test_fixed_center_matches_adaptive(self, base_params):
-        for pair in [(0, 1), (2, 0)]:
-            v_a, _ = expected_cov_series(pair, base_params, center="adaptive")
-            v_f, _ = expected_cov_series(pair, base_params, center="fixed")
-            assert v_f == pytest.approx(v_a, rel=1e-3)
-
-    def test_fixed_center_argument_within_unit_ball(self, base_params):
-        _, diag = expected_cov_series((0, 1), base_params, center="fixed")
-        assert abs(diag["argument_t0"]) < 1.0
-
     def test_singular_configuration_pair12(self):
+        # the leg products of tests/legs.py are singular at r2 = 0 and r3 = 1;
+        # the engine is regular there: the (1, 2) entry at r2 = 0 is its limit
+        at_zero, _ = expected_cov_series((1, 2), make_params(r2=0.0))
+        near_zero, _ = expected_cov_series((1, 2), make_params(r2=1e-9))
+        assert at_zero == pytest.approx(near_zero, rel=1e-9)
+        # and it agrees with the delta route to that route's truncation bias
+        for kwargs in ({"r2": 0.0}, {"r3": 1.0}, {"r2": 0.0, "r3": 1.0}):
+            params = make_params(**kwargs)
+            series, _ = expected_cov_series((1, 2), params)
+            approx, _ = expected_cov_approx((1, 2), params)
+            assert series == pytest.approx(approx, rel=1e-5)
         params = make_params(r2=0.0)
-        with pytest.raises(SingularConfigurationError):
-            expected_cov_series((1, 2), params)
         ok_pairs = [(0, 1), (2, 0)]
         for pair in ok_pairs:  # the two-leg pairs stay well defined at r2 = 0
             expected_cov_series(pair, params)
-
-    def test_unknown_options_rejected(self, base_params):
-        with pytest.raises(ParameterError):
-            expected_cov_series((0, 1), base_params, center="bogus")
 
 
 class TestEngineEquivalence:
@@ -496,7 +490,7 @@ def _tight_offdiagonals(params, method):
     out = {}
     for i, j in [(0, 1), (1, 2), (2, 0)]:
         engine = _PairSeriesEngine(params, [(i, j)], order)
-        value, _ = adaptive_simpson(lambda t: _series_point(engine, weights, t, None)[0], 0.0, T, tol=1e-17 * T)
+        value, _ = adaptive_simpson(lambda t: _series_point(engine, weights, t)[0], 0.0, T, tol=1e-17 * T)
         out[i, j] = params.gamma[i, j] * value / T + _jump_term(params, i, j, "consistent")
     return out
 

@@ -17,10 +17,9 @@ from gvswap import (
     refcase,
     simulate,
 )
-from gvswap.mc import mc_price
 
 from .conftest import make_params
-from .oracles import ReferenceConfig, simulate_reference
+from .oracles import ReferenceConfig, mc_price, simulate_reference
 
 
 def zero_model(sigma0_sq=(0.0, 0.0, 0.0), rho=(0.0, 0.0, 0.0)):

@@ -63,15 +63,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="PSD"):
             build(gamma=g)
 
-    def test_beta_must_dominate_initial_variances(self):
-        with pytest.raises(ParameterError, match="beta"):
-            build(beta=(1e-6, 1e-6, 1e-6))
-
-    def test_default_beta_dominates(self):
-        params = build()
-        for (i, j), b in zip(((0, 1), (1, 2), (2, 0)), params.beta):
-            assert b * b >= max(params.assets[i].sigma0_sq, params.assets[j].sigma0_sq)
-
     def test_positive_leverage_warns(self):
         with pytest.warns(UserWarning, match="positive leverage"):
             build(assets=assets(rho=0.5))
@@ -94,7 +85,7 @@ class TestSerialization:
         d = build().to_json_dict()
         assert set(d) == {
             "assets", "lambda", "gamma", "r2", "r3", "z1", "z_star",
-            "z_star_star", "rate", "horizon", "beta", "kmax",
+            "z_star_star", "rate", "horizon", "kmax",
         }
         assert json.dumps(d)  # serializable as-is
 
