@@ -12,7 +12,9 @@ with the parent.  The medians, quartiles (inclusive method), pairs won by the
 change and the comparison with each metric's bound in BENCHMARK.json go under
 "end_to_end" -> workload in --out; other keys of an existing --out file are
 kept.  With --trace-seed, each side also runs once with --trace 1 (parent
-first), and its per-layer metrics go under "per_layer" -> workload.
+first), and its per-layer metrics go under "per_layer" -> workload.  The
+line count of each side's src/gvswap/*.py, as `wc -l` gives it, goes under
+"src_lines".
 
 Standard library only; nothing under bench/ is written to.
 """
@@ -20,6 +22,7 @@ Standard library only; nothing under bench/ is written to.
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -48,6 +51,15 @@ def checkout(ref: str, into: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(path, filter="data")
     return path
+
+
+def src_lines(root: str) -> int:
+    """Newlines in the checkout's src/gvswap/*.py: the total of `wc -l`."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "gvswap", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def bench_run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -98,6 +110,7 @@ def main(argv=None) -> int:
         specs = json.load(fh)["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         roots = {"parent": checkout(args.parent, scratch), "change": checkout(args.change, scratch)}
+        lines = {side: src_lines(roots[side]) for side in SIDES}
         results = {side: [] for side in SIDES}
         first = []
         for k, seed in enumerate(args.seeds):
@@ -123,6 +136,7 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
+    data["src_lines"] = lines
     data.setdefault("end_to_end", {})[args.workload] = entry
     if traced:
         data.setdefault("per_layer", {})[args.workload] = traced

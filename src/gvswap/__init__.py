@@ -27,7 +27,6 @@ from .errors import (
     InfeasibleTargetError,
     NumericalError,
     ParameterError,
-    SingularConfigurationError,
 )
 from .market import DescriptiveStats, ReturnSeries, descriptive_stats, estimate_params, load_prices
 from .mc import PathBundle, SimulationConfig, mc_expected_cov, simulate
@@ -64,7 +63,6 @@ __all__ = [
     "PricingResult",
     "ReturnSeries",
     "SimulationConfig",
-    "SingularConfigurationError",
     "SubordinatorSpec",
     "SwapContract",
     "SwapKind",

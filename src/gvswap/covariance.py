@@ -23,6 +23,12 @@ order zero.  The routes differ only in the order:
 
 Neither route checks the other; the Monte Carlo oracle in mc.py does.
 
+The time integral is one Gauss-Kronrod 7/15 rule in u = e^(-lam t)
+(quadrature.py): the three off-diagonals of a matrix are one integrand call
+on its 16 nodes (t = inf and the 15 Kronrod nodes), over one moment table,
+and the series tail is read from the same call.  A pair whose Kronrod error
+estimate exceeds the rule's relative target raises NumericalError.
+
 Diagonal entries are in closed form: the time average of E[sigma_i^2] is
 elementary (Barndorff-Nielsen & Shephard, JRSS B 63, 2001), so no expansion or
 quadrature is involved; expected_diagonal computes them alone for the trace swap.
@@ -30,7 +36,8 @@ quadrature is involved; expected_diagonal computes them alone for the trace swap
 The expansion argument requires the centered product to stay inside the unit
 ball for convergence; with unbounded subordinators this holds only with high
 probability, so the series is treated as an asymptotic approximation and the
-magnitude of the last retained term is reported as a diagnostic.
+magnitude of the last retained term, over the quadrature nodes, is reported
+as a diagnostic.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .moments import scaled_moment_table
 from .params import PAIR_ORDER, ModelParams
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_kronrod_u as adaptive_simpson  # the name bench/tracing.py wraps
 
 #: below this scaled product-moment scale (sigma^4 units) the series collapses
 #: to its leading sqrt term; contributions there are negligible and the high
@@ -181,10 +188,10 @@ def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray):
     return M / c2[:, None] ** np.arange(engine.kmax + 1)[:, None], np.sqrt(c2), m2, tiny
 
 
-def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """E[sigma_i sigma_j] of every pair from the truncated expansion at an
-    array of times; shape (pairs, nodes)."""
-    Mn, root, m2, tiny = _centered_moments(engine, t)
+def _series_point(weights: np.ndarray, centered, t: np.ndarray) -> np.ndarray:
+    """E[sigma_i sigma_j] of every pair from the truncated expansion, given
+    _centered_moments at an array of times; shape (pairs, nodes)."""
+    Mn, root, m2, tiny = centered
     if (m2 < 0.0).any():
         pair, k = np.argwhere(m2 < 0.0)[0]
         raise NumericalError(f"negative product mean {m2[pair, k]} at t={t[k]}")
@@ -194,10 +201,11 @@ def _series_point(engine: _PairSeriesEngine, weights: np.ndarray, t: np.ndarray)
     return np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * value)
 
 
-def _series_tail(engine: _PairSeriesEngine, t: np.ndarray) -> np.ndarray:
-    """Largest |last retained term| / |full sum| over an array of times, per pair."""
-    Mn, root, m2, tiny = _centered_moments(engine, t)
-    K = engine.kmax
+def _series_tail(centered) -> np.ndarray:
+    """Largest |last retained term| / |full sum| over the nodes of
+    _centered_moments, per pair."""
+    Mn, root, m2, tiny = centered
+    K = Mn.shape[1] - 1
     # E[x^k] = sum_p C(k, p) (-1)^(k-p) E[(1 + x)^p], x the centered argument
     signed = np.array([[math.comb(k, p) * (-1) ** (k - p) for p in range(K + 1)] for k in range(K + 1)])
     terms = sqrt_series_coefficients(K)[:, None] * (signed @ Mn)
@@ -210,25 +218,25 @@ def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, tail: bool)
     """(entry, diagnostics) of each of the engine's pairs (i, j):
     gamma_ij / T int_0^T E[sigma_i sigma_j] dt plus the jump term, with
     E[sigma_i sigma_j] expanded to the engine's order about M_1.
-    All pairs share one integrand, one quadrature run and so one node set;
-    with tail, the diagnostics carry the series tail at 5 probe times."""
+    All pairs share one integrand call on the rule's nodes, and so one moment
+    table; with tail, the diagnostics carry the series tail over those nodes."""
     T = params.horizon
     weights = _collapsed_weights(engine.kmax)
-    evals = 0
+    at_nodes = {}
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += t.size
-        return _series_point(engine, weights, t)
+        centered = _centered_moments(engine, t)
+        value = _series_point(weights, centered, t)
+        at_nodes.update(evals=t.size, tails=_series_tail(centered) if tail else None)
+        return value
 
-    values, errs = adaptive_simpson(integrand, 0.0, T)
-    tails = _series_tail(engine, np.linspace(0.0, T, 5)) if tail else None
+    values, errs = adaptive_simpson(integrand, params.lam, T)
     entries = []
     for k, (i, j) in enumerate(engine.pairs):
         gamma_ij = float(params.gamma[i, j])
-        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) / T, "evals": evals}
+        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) / T, "evals": at_nodes["evals"]}
         if tail:
-            diag.update(series_tail=float(tails[k]), kmax=engine.kmax)
+            diag.update(series_tail=float(at_nodes["tails"][k]), kmax=engine.kmax)
         jump = _jump_term(params, i, j, "consistent")
         diag["jump_term"] = jump
         entries.append((gamma_ij * float(values[k]) / T + jump, diag))
@@ -340,7 +348,7 @@ def expected_diagonal(params: ModelParams, method: str) -> ExpectedDiagonal:
 def expected_cov_matrix(params: ModelParams, method: str = "series") -> ExpectedCovMatrix:
     """Assemble the full matrix: diagonal from expected_diagonal,
     off-diagonals from the requested route ("series" or "approx"), the three
-    of them on one engine and one quadrature run."""
+    of them on one engine and one quadrature call."""
     diagonal, _, diagnostics = expected_diagonal(params, method)
     entries = np.diag(diagonal)
     series = method == "series"

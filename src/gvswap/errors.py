@@ -17,10 +17,6 @@ class DegenerateLawError(GvswapError, ValueError):
     """An operation requires a non-degenerate law but got one with zero variance."""
 
 
-class SingularConfigurationError(GvswapError, ValueError):
-    """A formula is undefined for this parameter configuration (e.g. r2 = 0)."""
-
-
 class ConstraintDegeneracyError(GvswapError, ValueError):
     """The constraint matrix is rank deficient (expected returns proportional to ones)."""
 

@@ -23,11 +23,16 @@ import math
 
 import numpy as np
 
-from gvswap import ParameterError, SingularConfigurationError
+from gvswap import GvswapError, ParameterError
 from gvswap.covariance import _pair_index
 from gvswap.moments import scaled_moment_table
 from gvswap.params import ModelParams
 from gvswap.subordinators import SubordinatorSpec
+
+
+class SingularConfigurationError(GvswapError, ValueError):
+    """A leg decomposition is undefined for this parameter configuration
+    (r2 = 0 or r3 = 1 for pair (1, 2))."""
 
 
 def _check_order(order: int, lo: int = 1, hi: int = 4) -> int:

@@ -72,12 +72,52 @@ def shifted_exp_integral_mgf(alpha, cgf, lam, t):
 
 
 # ---------------------------------------------------------------------------
-# scalar depth-first adaptive Simpson
+# time integrals of the off-diagonal integrands
 # ---------------------------------------------------------------------------
 
+def gauss_legendre_u(g, lam: float, horizon: float, n: int = 64) -> np.ndarray:
+    """int_0^T g dt by an n-point Gauss-Legendre rule in u = e^(-lam t),
+    after splitting off g(inf):
+
+        g(inf) T + (1/lam) int_{e^(-lam T)}^1 (g(u) - g(inf)) / u du.
+
+    g maps an array of times to an array whose last axis runs over them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = -0.5 * math.expm1(-lam * horizon)
+    u = math.exp(-lam * horizon) + half * (1.0 + x)
+    stationary = np.asarray(g(np.array([np.inf])))[..., 0]
+    values = np.asarray(g(-np.log(u) / lam))
+    return stationary * horizon + (half / lam) * (((values - stationary[..., None]) / u) * w).sum(axis=-1)
+
+
+def route_integrand(params: ModelParams, pair, method: str):
+    """E[sigma_i sigma_j] of one pair at an array of times, expanded to the
+    route's order ("series": params.kmax, "approx": 2) by the package's
+    product-moment engine: the integrand, without the package's quadrature."""
+    from gvswap.covariance import _centered_moments, _collapsed_weights, _PairSeriesEngine, _series_point
+
+    order = params.kmax if method == "series" else 2
+    engine, weights = _PairSeriesEngine(params, [pair], order), _collapsed_weights(order)
+    return lambda t: _series_point(weights, _centered_moments(engine, t), t)[0]
+
+
+def reference_offdiagonals(params: ModelParams, method: str, integral=gauss_legendre_u) -> dict:
+    """{(i, j): entry} for the pairs (0,1), (1,2), (2,0) from integral(g,
+    lam, T) of each route integrand g, plus the jump term."""
+    from gvswap.covariance import _jump_term
+
+    out = {}
+    for i, j in [(0, 1), (1, 2), (2, 0)]:
+        value = integral(route_integrand(params, (i, j), method), params.lam, params.horizon)
+        out[i, j] = params.gamma[i, j] * float(value) / params.horizon + _jump_term(params, i, j, "consistent")
+    return out
+
+
 def adaptive_simpson_depth_first(f, a: float, b: float, tol: float = None, max_depth: int = 40):
-    """The package's adaptive Simpson rule, one interval and one node at a
-    time: (value, error estimate), or NumericalError past max_depth.
+    """Adaptive Simpson bisection in t, one interval and one node at a time:
+    (value, error estimate), or NumericalError past max_depth.  It was the
+    package's rule before the Gauss-Kronrod rule in u, and stays as a
+    reference that works in t.
 
     f maps one node to a float, or to an array of m values for m integrands
     on one node set; an interval is then bisected while any of them misses

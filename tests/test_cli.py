@@ -82,6 +82,27 @@ class TestCalibrate:
         assert np.allclose(params.mu, refcase.MU)
         assert params.lam == refcase.LAMBDA
 
+    @pytest.mark.parametrize("method, least_error", [("series", 0.1), ("approx", 1e-4)])
+    def test_calibrated_gamma_one_price_exits_6(self, capsys, tmp_path, method, least_error):
+        # the reference overrides give gamma(1, 1) drivers: the series diverges
+        # (integrand values about 1e9), and the delta route's integrand has a
+        # boundary layer about 1e-5 days wide at t = 0; the quadrature reports
+        # its own error and the price fails fast instead of running on or
+        # pricing from an unresolved integral
+        out = tmp_path / "params.json"
+        code, _, _ = run(
+            capsys, "calibrate", "--prices", FIXTURES / "prices_252.csv",
+            "--overrides", FIXTURES / "overrides_reference.json", "--out", out,
+        )
+        assert code == EXIT_OK
+        code, report, err = run(
+            capsys, "price", "--params", out, "--method", method,
+            "--contract", FIXTURES / "contract_eigenvalue.json",
+        )
+        assert code == EXIT_NUMERICAL and report == ""
+        match = re.search(r"quadrature error (\S+) relative exceeds 1e-06", err)
+        assert match and float(match.group(1)) > least_error
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "calibrate", "--prices", tmp_path / "nope.csv")
         assert code == EXIT_INPUT

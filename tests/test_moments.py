@@ -6,13 +6,12 @@ import pytest
 from gvswap import (
     Family,
     ParameterError,
-    SingularConfigurationError,
     SubordinatorSpec,
 )
 from gvswap.moments import raw_moments_from_cumulants, scaled_moment_table
 
 from .conftest import make_params
-from .legs import series_leg_product, series_leg_product_12, shifted_moment
+from .legs import SingularConfigurationError, series_leg_product, series_leg_product_12, shifted_moment
 from .oracles import (
     mean_with_stderr,
     moments_from_mgf,
