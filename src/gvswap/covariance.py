@@ -23,11 +23,15 @@ order zero.  The routes differ only in the order:
 
 Neither route checks the other; the Monte Carlo oracle in mc.py does.
 
-The time integral is one Gauss-Kronrod 7/15 rule in u = e^(-lam t)
+The engine works in units of the power of 4 nearest the model's variance
+level, so its moments are of order 1 at any variance scale; the scaling by a
+power of 4 is exact, down to the square root, and each entry is scaled back
+once.  The time integral is one Gauss-Kronrod 7/15 rule in u = e^(-lam t)
 (quadrature.py): the three off-diagonals of a matrix are one integrand call
 on its 16 nodes (t = inf and the 15 Kronrod nodes), over one moment table,
 and the series tail is read from the same call.  A pair whose Kronrod error
-estimate exceeds the rule's relative target raises NumericalError.
+estimate exceeds the rule's relative target, or whose expansion is negative
+at a node, raises NumericalError.
 
 Diagonal entries are in closed form: the time average of E[sigma_i^2] is
 elementary (Barndorff-Nielsen & Shephard, JRSS B 63, 2001), so no expansion or
@@ -52,11 +56,6 @@ from .errors import NumericalError, ParameterError
 from .moments import scaled_moment_table
 from .params import PAIR_ORDER, ModelParams
 from .quadrature import gauss_kronrod_u as adaptive_simpson  # the name bench/tracing.py wraps
-
-#: below this scaled product-moment scale (sigma^4 units) the series collapses
-#: to its leading sqrt term; contributions there are negligible and the high
-#: moment powers would underflow.
-_TINY_PRODUCT = 1e-30
 
 
 def sqrt_series_coefficients(kmax: int) -> np.ndarray:
@@ -93,20 +92,17 @@ def _pair_index(pair) -> tuple[int, int]:
     raise ParameterError(f"pair must name two distinct assets among 0, 1, 2; got {pair!r}")
 
 
-def _jump_term(params: ModelParams, i: int, j: int, convention: str) -> float:
-    """Expected squared-jump contribution rho_i rho_j lam kappa_2(Z1).
+def _jump_term(params: ModelParams, i: int, j: int) -> float:
+    """Expected squared-jump contribution rho_i rho_j lam kappa_2(Z1), the jump
+    part of the realized quadratic covariation (pinned by the simulation oracle)."""
+    return params.assets[i].rho * params.assets[j].rho * params.lam * params.triple.z1.cumulant(2)
 
-    convention="printed" divides by the horizon, matching an alternative
-    statement of the diagonal entries; "consistent" (default) matches the
-    expectation of the realized quadratic covariation and is pinned by the
-    simulation oracle.
-    """
-    base = params.assets[i].rho * params.assets[j].rho * params.lam * params.triple.z1._cumulant_any(2)
-    if convention == "consistent":
-        return base
-    if convention == "printed":
-        return base / params.horizon
-    raise ParameterError(f"unknown jump-term convention {convention!r}")
+
+def _variance_unit(params: ModelParams) -> float:
+    """The power of 4 nearest the model's variance level, the largest initial
+    variance or driver mean; 1 when all of them are 0."""
+    level = max(*params.sigma0_sq, *(params.triple.derived_cumulant(i, 1) for i in (1, 2, 3)))
+    return 4.0 ** round(math.log(level, 4)) if level > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +111,7 @@ def _jump_term(params: ModelParams, i: int, j: int, convention: str) -> float:
 
 class _PairSeriesEngine:
     """Evaluator of the scaled product moments M_p, p = 0..kmax, of a tuple of
-    asset pairs on one moment table.
+    asset pairs on one moment table, with variances in units of `unit`.
 
     Each variance is written over the independent integrals as
 
@@ -131,15 +127,17 @@ class _PairSeriesEngine:
 
     where the moments of Y and of each X_i are columns of one moment table,
     one column for Y and one per distinct asset of the pairs, and E[Y^(q+r)]
-    is a Hankel gather of the Y column.  Every term is nonnegative, so the
-    assembly is stable for any parameter values.  (The factorization that
+    is a Hankel gather of the Y column.  The table is built from the drivers
+    scaled by 1 / unit and the shifts sigma_i0^2 / unit, so M_p comes in units
+    of unit^(2p).  Every term is nonnegative, so the assembly is stable for
+    any parameter values.  (The factorization that
     isolates the legs behind shifted variables, kept in tests/legs.py,
     cancels catastrophically when the shifts are large against the product
     scale.)  Times come as arrays; the work is O(kmax^3) per node and pair,
     against O(kmax^5) for the expansion over both multinomials.
     """
 
-    def __init__(self, params: ModelParams, pairs, kmax: int):
+    def __init__(self, params: ModelParams, pairs, kmax: int, unit: float):
         self.kmax = kmax
         self.lam = params.lam
         self.pairs = tuple(_pair_index(pair) for pair in pairs)
@@ -150,11 +148,11 @@ class _PairSeriesEngine:
         p, q = np.indices((K + 1, K + 1))
         binom = np.array([[math.comb(n, k) for k in range(K + 1)] for n in range(K + 1)])
         # table columns: Y, then one X per asset (cumulants b^n kappa_n(Zc), shift sigma0^2)
-        columns, self.shifts, weights = [tr.z1.cumulant_sequence(2 * K)], [0.0], []
+        columns, self.shifts, weights = [tr.z1.scaled(1.0 / unit).cumulant_sequence(2 * K)], [0.0], []
         for asset in assets:
             a, b, comp = tr._mix(asset + 1)
-            columns.append(b**orders * comp.cumulant_sequence(2 * K))
-            self.shifts.append(params.assets[asset].sigma0_sq)
+            columns.append(b**orders * comp.scaled(1.0 / unit).cumulant_sequence(2 * K))
+            self.shifts.append(params.assets[asset].sigma0_sq / unit)
             weights.append(binom * a**q)  # C(p, q) a^q, zero for q > p
         self.cumulants = np.stack(columns, axis=1)
         self.weights = np.stack(weights)
@@ -164,8 +162,8 @@ class _PairSeriesEngine:
         self.hankel = p + q              # E[Y^(q + r)]
 
     def product_moments(self, t) -> np.ndarray:
-        """M_p = E[(sigma_i^2 sigma_j^2)_t^p] for p = 0..kmax (time-scaled
-        units) of every pair, at one time or an array of times; shape
+        """M_p = E[(sigma_i^2 sigma_j^2)_t^p] for p = 0..kmax (in units of
+        unit^(2p)) of every pair, at one time or an array of times; shape
         (pairs, kmax + 1) + shape(t)."""
         K = self.kmax
         times = np.asarray(t, dtype=float).reshape(-1)
@@ -178,68 +176,69 @@ class _PairSeriesEngine:
 
 
 def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray):
-    """(M_p / M_1^p for p = 0..kmax, sqrt(M_1), M_1, and whether M_1 is below
-    _TINY_PRODUCT) of every pair at an array of times; the first has shape
-    (pairs, kmax + 1, nodes), the others (pairs, nodes)."""
+    """(M_p / M_1^p for p = 0..kmax, sqrt(M_1)) of every pair at an array of
+    times; the first has shape (pairs, kmax + 1, nodes), the second (pairs,
+    nodes).  A zero M_1, which only zero drivers reach (at t = inf, or with a
+    zero initial variance), leaves the moments unscaled, and its root 0 zeroes
+    the value and the tail."""
     M = engine.product_moments(t)
-    m2 = M[:, 1]
-    tiny = m2 < _TINY_PRODUCT
-    c2 = np.where(tiny, 1.0, m2)
-    return M / c2[:, None] ** np.arange(engine.kmax + 1)[:, None], np.sqrt(c2), m2, tiny
+    m1 = M[:, 1]
+    return M / np.where(m1 == 0.0, 1.0, m1)[:, None] ** np.arange(engine.kmax + 1)[:, None], np.sqrt(m1)
 
 
-def _series_point(weights: np.ndarray, centered, t: np.ndarray) -> np.ndarray:
+def _series_point(weights: np.ndarray, centered) -> np.ndarray:
     """E[sigma_i sigma_j] of every pair from the truncated expansion, given
     _centered_moments at an array of times; shape (pairs, nodes)."""
-    Mn, root, m2, tiny = centered
-    if (m2 < 0.0).any():
-        pair, k = np.argwhere(m2 < 0.0)[0]
-        raise NumericalError(f"negative product mean {m2[pair, k]} at t={t[k]}")
+    Mn, root = centered
     # summed in order p = 0..kmax at every node, so a node's value does not
     # depend on the other nodes of the call (a matrix-vector product's would)
-    value = np.cumsum(weights[:, None] * Mn, axis=1)[:, -1]
-    return np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * value)
+    return root * np.cumsum(weights[:, None] * Mn, axis=1)[:, -1]
 
 
 def _series_tail(centered) -> np.ndarray:
     """Largest |last retained term| / |full sum| over the nodes of
     _centered_moments, per pair."""
-    Mn, root, m2, tiny = centered
+    Mn, root = centered
     K = Mn.shape[1] - 1
     # E[x^k] = sum_p C(k, p) (-1)^(k-p) E[(1 + x)^p], x the centered argument
     signed = np.array([[math.comb(k, p) * (-1) ** (k - p) for p in range(K + 1)] for k in range(K + 1)])
     terms = sqrt_series_coefficients(K)[:, None] * (signed @ Mn)
-    last = np.abs(np.where(tiny, 0.0, root * terms[:, -1]))
-    total = np.abs(np.where(tiny, np.sqrt(np.maximum(m2, 0.0)), root * terms.sum(axis=1)))
+    last, total = np.abs(root * terms[:, -1]), np.abs(root * terms.sum(axis=1))
     return np.divide(last, total, out=np.zeros_like(last), where=total != 0.0).max(axis=1)
 
 
-def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, tail: bool) -> list:
-    """(entry, diagnostics) of each of the engine's pairs (i, j):
+def _integrate_pairs(params: ModelParams, pairs, method: str) -> list:
+    """(entry, diagnostics) of each pair (i, j) by the route `method`:
     gamma_ij / T int_0^T E[sigma_i sigma_j] dt plus the jump term, with
-    E[sigma_i sigma_j] expanded to the engine's order about M_1.
-    All pairs share one integrand call on the rule's nodes, and so one moment
-    table; with tail, the diagnostics carry the series tail over those nodes."""
-    T = params.horizon
+    E[sigma_i sigma_j] expanded about M_1 to order params.kmax ("series") or
+    2 ("approx").  All pairs share one engine, in units of _variance_unit,
+    and one integrand call on the rule's nodes, and so one moment table; the
+    series diagnostics carry the series tail over those nodes.  A pair whose
+    expansion is negative at a node raises NumericalError."""
+    series = method == "series"
+    unit, T = _variance_unit(params), params.horizon
+    engine = _PairSeriesEngine(params, pairs, params.kmax if series else 2, unit)
     weights = _collapsed_weights(engine.kmax)
     at_nodes = {}
 
     def integrand(t: np.ndarray) -> np.ndarray:
         centered = _centered_moments(engine, t)
-        value = _series_point(weights, centered, t)
-        at_nodes.update(evals=t.size, tails=_series_tail(centered) if tail else None)
+        value = _series_point(weights, centered)
+        tails = _series_tail(centered) if series else None
+        at_nodes.update(evals=t.size, lowest=value.min(axis=1) * unit, tails=tails)
         return value
 
     values, errs = adaptive_simpson(integrand, params.lam, T)
     entries = []
     for k, (i, j) in enumerate(engine.pairs):
+        if (low := at_nodes["lowest"][k]) < 0.0:
+            raise NumericalError(f"{method} route: E[sigma_{i} sigma_{j}] reads {low:.3e} < 0 at a node")
         gamma_ij = float(params.gamma[i, j])
-        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) / T, "evals": at_nodes["evals"]}
-        if tail:
+        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) * unit / T, "evals": at_nodes["evals"]}
+        if series:
             diag.update(series_tail=float(at_nodes["tails"][k]), kmax=engine.kmax)
-        jump = _jump_term(params, i, j, "consistent")
-        diag["jump_term"] = jump
-        entries.append((gamma_ij * float(values[k]) / T + jump, diag))
+        diag["jump_term"] = jump = _jump_term(params, i, j)
+        entries.append((gamma_ij * float(values[k]) * unit / T + jump, diag))
     return entries
 
 
@@ -247,9 +246,7 @@ def _integrate_pairs(params: ModelParams, engine: _PairSeriesEngine, tail: bool)
 # operations
 # ---------------------------------------------------------------------------
 
-def expected_var_leg(
-    i: int, params: ModelParams, jump_convention: str = "consistent"
-) -> tuple[float, dict]:
+def expected_var_leg(i: int, params: ModelParams) -> tuple[float, dict]:
     """Expected realized variance of asset i (0-based):
     (1/T) int_0^T E[sigma_i^2(t)] dt plus the squared-jump term.
 
@@ -259,17 +256,16 @@ def expected_var_leg(
     if i not in (0, 1, 2):
         raise ParameterError(f"asset index must be 0, 1 or 2, got {i}")
     lam_T = params.lam * params.horizon
-    k1 = float(params.asset_cumulant_sequence(i, 1)[0])
+    k1 = params.triple.derived_cumulant(i + 1, 1)
     value = k1 + (params.assets[i].sigma0_sq - k1) * (-math.expm1(-lam_T)) / lam_T
-    jump = _jump_term(params, i, i, jump_convention)
+    jump = _jump_term(params, i, i)
     return value + jump, {"jump_term": jump}
 
 
 def expected_cov_series(pair, params: ModelParams) -> tuple[float, dict]:
     """Off-diagonal expected covariance by the truncated binomial series,
     to order params.kmax, about the exact product mean at each node."""
-    engine = _PairSeriesEngine(params, [pair], params.kmax)
-    (value, diag), = _integrate_pairs(params, engine, tail=True)
+    (value, diag), = _integrate_pairs(params, [pair], "series")
     return value, diag
 
 
@@ -278,8 +274,7 @@ def expected_cov_approx(pair, params: ModelParams) -> tuple[float, dict]:
     sqrt(E P) - Var P / (8 (E P)^(3/2)) of the product P = sigma_i^2 sigma_j^2:
     the series about the exact mean E P cut at order 2, since the centered
     argument has mean zero and binom(1/2, 2) = -1/8."""
-    engine = _PairSeriesEngine(params, [pair], 2)
-    (value, diag), = _integrate_pairs(params, engine, tail=False)
+    (value, diag), = _integrate_pairs(params, [pair], "approx")
     return value, diag
 
 
@@ -351,9 +346,7 @@ def expected_cov_matrix(params: ModelParams, method: str = "series") -> Expected
     of them on one engine and one quadrature call."""
     diagonal, _, diagnostics = expected_diagonal(params, method)
     entries = np.diag(diagonal)
-    series = method == "series"
-    engine = _PairSeriesEngine(params, PAIR_ORDER, params.kmax if series else 2)
-    for (i, j), (value, diag) in zip(PAIR_ORDER, _integrate_pairs(params, engine, series)):
+    for (i, j), (value, diag) in zip(PAIR_ORDER, _integrate_pairs(params, PAIR_ORDER, method)):
         entries[i, j] = entries[j, i] = value
         diagnostics[f"{min(i, j)}{max(i, j)}"] = diag
     return ExpectedCovMatrix(entries=entries, method=method, diagnostics=diagnostics)

@@ -94,7 +94,7 @@ def simulate(params: ModelParams, config: SimulationConfig) -> PathBundle:
     # the model's risk-neutral drift needs cgf_i(rho_i) finite, though no price is simulated
     for i in range(3):
         try:
-            params.asset_cgf(i, rho[i])
+            params.triple.derived_cgf(i + 1, rho[i])
         except DomainError as exc:
             raise ParameterError(
                 f"leverage rho={rho[i]} of asset {i} lies outside the driver's CGF domain"

@@ -95,14 +95,6 @@ class ModelParams:
                     stacklevel=3,
                 )
 
-    # -- per-asset driver views ---------------------------------------------
-    def asset_cumulant_sequence(self, i: int, max_order: int) -> np.ndarray:
-        """Cumulants of asset i's variance driver (0-based asset index)."""
-        return self.triple.derived_cumulant_sequence(i + 1, max_order)
-
-    def asset_cgf(self, i: int, theta: float) -> float:
-        return self.triple.derived_cgf(i + 1, theta)
-
     @property
     def mu(self) -> np.ndarray:
         return np.array([a.mu for a in self.assets])

@@ -78,12 +78,7 @@ class SubordinatorSpec:
 
     # -- cumulants ---------------------------------------------------------
     def cumulant(self, n: int) -> float:
-        """n-th cumulant of the unit-time law, n in 1..4."""
-        if not isinstance(n, (int, np.integer)) or not 1 <= n <= 4:
-            raise ParameterError(f"cumulant order must be an integer in 1..4, got {n!r}")
-        return self._cumulant_any(int(n))
-
-    def _cumulant_any(self, n: int) -> float:
+        """n-th cumulant of the unit-time law, any order n >= 1."""
         if self.family is Family.ZERO:
             return 0.0
         if self.family is Family.GAMMA:
@@ -91,8 +86,16 @@ class SubordinatorSpec:
         return self.a * _double_factorial_odd(n) / self.b ** (2 * n - 1)
 
     def cumulant_sequence(self, max_order: int) -> np.ndarray:
-        """Array of cumulants kappa_1..kappa_max_order (internal engine, any order)."""
-        return np.array([self._cumulant_any(n) for n in range(1, max_order + 1)])
+        """Array of cumulants kappa_1..kappa_max_order."""
+        return np.array([self.cumulant(n) for n in range(1, max_order + 1)])
+
+    def scaled(self, c: float) -> "SubordinatorSpec":
+        """The unit-time law of c Z, c > 0, whose cumulants are c^n kappa_n."""
+        if self.family is Family.ZERO:
+            return self
+        root = math.sqrt(c)
+        a, b = (self.a, self.b / c) if self.family is Family.GAMMA else (self.a * root, self.b / root)
+        return SubordinatorSpec(self.family, a, b)
 
     # -- cumulant generating function --------------------------------------
     def cgf_bound(self) -> float:
@@ -150,7 +153,7 @@ class CorrelatedTriple:
 
     Z2 and Z3 are never materialized: their increments come from
     :meth:`correlated_increments` and their cumulants from
-    :meth:`derived_cumulants`,
+    :meth:`derived_cumulant`,
 
         kappa_n(Z2) = r2^n kappa_n(Z1) + (1 - r2^2)^(n/2) kappa_n(Z*),
 
@@ -179,14 +182,9 @@ class CorrelatedTriple:
         raise ParameterError(f"driver index must be 1, 2 or 3, got {which}")
 
     def derived_cumulant(self, which: int, n: int) -> float:
-        """kappa_n of Z2 (which=2) or Z3 (which=3); which=1 returns the base cumulant."""
-        if which == 1:
-            return self.z1._cumulant_any(n)
+        """kappa_n of Z1, Z2 or Z3 (which = 1, 2, 3): r^n kappa_n(Z1) + s^n kappa_n(own)."""
         r, s, comp = self._mix(which)
-        return r**n * self.z1._cumulant_any(n) + s**n * comp._cumulant_any(n)
-
-    def derived_cumulant_sequence(self, which: int, max_order: int) -> np.ndarray:
-        return np.array([self.derived_cumulant(which, n) for n in range(1, max_order + 1)])
+        return r**n * self.z1.cumulant(n) + s**n * comp.cumulant(n)
 
     def derived_cgf(self, which: int, theta: float) -> float:
         """CGF of the mixed driver: kappa_{Z1}(r theta) + kappa_comp(s theta)."""
@@ -212,7 +210,7 @@ class CorrelatedTriple:
             rho13 = r3 sqrt(k2(Z1)/k2(Z3)),
             rho23 = r2 r3 k2(Z1) / sqrt(k2(Z2) k2(Z3)).
         """
-        k2_1 = self.z1._cumulant_any(2)
+        k2_1 = self.z1.cumulant(2)
         k2_2 = self.derived_cumulant(2, 2)
         k2_3 = self.derived_cumulant(3, 2)
         if k2_2 <= 0.0 or k2_3 <= 0.0:

@@ -94,11 +94,13 @@ def route_integrand(params: ModelParams, pair, method: str):
     """E[sigma_i sigma_j] of one pair at an array of times, expanded to the
     route's order ("series": params.kmax, "approx": 2) by the package's
     product-moment engine: the integrand, without the package's quadrature."""
-    from gvswap.covariance import _centered_moments, _collapsed_weights, _PairSeriesEngine, _series_point
+    from gvswap.covariance import (
+        _centered_moments, _collapsed_weights, _PairSeriesEngine, _series_point, _variance_unit,
+    )
 
-    order = params.kmax if method == "series" else 2
-    engine, weights = _PairSeriesEngine(params, [pair], order), _collapsed_weights(order)
-    return lambda t: _series_point(weights, _centered_moments(engine, t), t)[0]
+    order, unit = params.kmax if method == "series" else 2, _variance_unit(params)
+    engine, weights = _PairSeriesEngine(params, [pair], order, unit), _collapsed_weights(order)
+    return lambda t: unit * _series_point(weights, _centered_moments(engine, t))[0]
 
 
 def reference_offdiagonals(params: ModelParams, method: str, integral=gauss_legendre_u) -> dict:
@@ -109,7 +111,7 @@ def reference_offdiagonals(params: ModelParams, method: str, integral=gauss_lege
     out = {}
     for i, j in [(0, 1), (1, 2), (2, 0)]:
         value = integral(route_integrand(params, (i, j), method), params.lam, params.horizon)
-        out[i, j] = params.gamma[i, j] * float(value) / params.horizon + _jump_term(params, i, j, "consistent")
+        out[i, j] = params.gamma[i, j] * float(value) / params.horizon + _jump_term(params, i, j)
     return out
 
 
@@ -270,7 +272,7 @@ def simulate_reference(params, config: ReferenceConfig) -> ReferenceBundle:
     drift_const = np.empty(3)
     for i in range(3):
         try:
-            drift_const[i] = rate - lam * params.asset_cgf(i, rho[i])
+            drift_const[i] = rate - lam * params.triple.derived_cgf(i + 1, rho[i])
         except DomainError as exc:
             raise ParameterError(
                 f"leverage rho={rho[i]} of asset {i} lies outside the driver's CGF domain"

@@ -270,7 +270,9 @@ class TestPrice:
         assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
 
     def test_overflow_exit_6(self, capsys, tmp_path):
-        # gamma drivers with b = 5e29 overflow b**n in the series cumulants
+        # gamma drivers with b = 5e29 have mean 5e-29, about 1e-24 of sigma0^2:
+        # in the engine's unit, the power of 4 nearest sigma0^2, their rate is
+        # still 3.1e25, and its 16th power (order 2 kmax) overflows
         params = json.loads((FIXTURES / "base_params.json").read_text())
         for key in ("z1", "z_star", "z_star_star"):
             params[key] = {"family": "gamma", "a": 25, "b": 5e29}
@@ -286,6 +288,24 @@ class TestPrice:
                 code, _, err = run(capsys, command[0], "--params", path, *command[1:])
             assert code == EXIT_NUMERICAL
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_series_integrand_exit_6(self, capsys, tmp_path):
+        # at gamma shape 1 the series diverges: E[sigma_0 sigma_1] reads -16.7
+        # at a quadrature node, and the matrix's eigenvalues come out near
+        # -5.8 and 5.8; the approx route stays positive and prices
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        for key in ("z1", "z_star", "z_star_star"):
+            params[key] = {"family": "gamma", "a": 1, "b": 2e4}
+        path = tmp_path / "shape_one.json"
+        path.write_text(dumps_17(params))
+        argv = ("price", "--params", path, "--contract", FIXTURES / "contract_eigenvalue.json", "--method")
+        code, out, err = run(capsys, *argv, "series")
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("error: series route: E[sigma_0 sigma_1] reads -1.")
+        assert err.count("\n") == 1
+        code, out, _ = run(capsys, *argv, "approx")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["expected_metric"] > 0.0
 
     def test_trace_at_overflowing_driver_rate(self, capsys, tmp_path):
         # trace counterpart of test_overflow_exit_6: the closed-form diagonal

@@ -88,10 +88,3 @@ class TestSerialization:
             "z_star_star", "rate", "horizon", "kmax",
         }
         assert json.dumps(d)  # serializable as-is
-
-    def test_asset_cumulants_match_triple(self):
-        params = build()
-        for i, which in ((0, 1), (1, 2), (2, 3)):
-            got = params.asset_cumulant_sequence(i, 4)
-            want = params.triple.derived_cumulant_sequence(which, 4)
-            assert np.array_equal(got, want)

@@ -35,10 +35,22 @@ class TestCumulants:
         for n in range(1, 5):
             assert ZERO.cumulant(n) == 0.0
 
-    @pytest.mark.parametrize("bad_n", [0, 5, -1, 2.5])
-    def test_unsupported_order_rejected(self, bad_n):
-        with pytest.raises(ParameterError):
-            GAMMA_11.cumulant(bad_n)
+    @pytest.mark.parametrize(
+        "spec",
+        [SubordinatorSpec(Family.GAMMA, 2.0, 3.0), SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.5, 2.0), ZERO],
+        ids=["gamma", "ig", "zero"],
+    )
+    @pytest.mark.parametrize("c, power_of_4", [(4.0**-20, True), (4.0**20, True), (1e-7, False), (3.0, False)])
+    def test_scaled_law_scales_every_cumulant(self, spec, c, power_of_4):
+        # c Z has kappa_n(c Z) = c^n kappa_n(Z); by a power of 4 the scaling is exact
+        scaled = spec.scaled(c)
+        assert scaled.family is spec.family
+        for n in range(1, 17):
+            want = c**n * spec.cumulant(n)
+            if power_of_4:
+                assert scaled.cumulant(n) == want
+            else:
+                assert scaled.cumulant(n) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "spec",
