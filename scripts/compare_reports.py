@@ -11,12 +11,19 @@ same files:
 * `price` on a trace and a max-eigenvalue contract, under `series` and
   `approx`, for every parameter class of bench/workloads.py (imported, never
   written to), each jittered at --seeds seeds;
-* `verify` on tests/fixtures/base_params.json at a small budget.
+* `verify` on tests/fixtures/base_params.json at a small budget;
+* `calibrate` on tests/fixtures/prices_252.csv, with and without
+  tests/fixtures/overrides_reference.json;
+* one op per error exit: a missing params file (2), a one-row price CSV (3),
+  an unattainable target return (4) and gamma(25, 5e29) drivers under
+  `series` (6).
 
-Each ref runs its ops in one child process that puts the ref's src/ first on
-sys.path and calls gvswap.cli.main(argv).  The exit codes, the error lines and
-the reports without `wall_time_s` must match.  The script prints each class's
-largest relative move and exits 1 on any difference.
+Each ref runs its ops in one child process, in its own output directory, that
+puts the ref's src/ first on sys.path and calls gvswap.cli.main(argv).  The
+exit codes, the error lines, the files the ops write to --out and what they
+print on stdout (`calibrate`'s run report) must match, apart from
+`wall_time_s`.  The script prints each group's largest relative move and exits
+1 on any difference.
 
 Standard library and numpy only.
 """
@@ -43,7 +50,8 @@ import workloads  # noqa: E402
 CLASSES = workloads.SERIES_CLASSES + workloads.HEAVY_CLASSES + (workloads.BASE_CLASS,)
 VERIFY_ARGS = ["--paths", "200", "--steps", "252", "--seed", "7"]
 
-#: runs a JSON list of (label, argv) in one process: {label: [exit code, stderr]}
+#: runs a JSON list of (label, argv) in one process:
+#: {label: [exit code, stdout, stderr]}
 RUNNER = """
 import contextlib, io, json, sys, warnings
 sys.path.insert(0, sys.argv[1])
@@ -51,9 +59,10 @@ from gvswap.cli import main
 warnings.simplefilter("ignore")
 out = {}
 for label, argv in json.load(sys.stdin):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        out[label] = [main(argv), err.getvalue()]
+    text, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out[label] = [code, text.getvalue(), err.getvalue()]
 json.dump(out, sys.stdout)
 """
 
@@ -73,29 +82,68 @@ def write_inputs(into: str, seeds: int) -> list:
                 for method in ("series", "approx"):
                     argv = ["price", "--params", p_path, "--contract", c_path, "--method", method]
                     ops.append((f"{cls.name}/{seed}/{kind}/{method}", cls.name, argv))
-    base = os.path.join(into, "base_params.json")
-    shutil.copy(os.path.join(ROOT, "tests", "fixtures", "base_params.json"), base)
+    fixture = {name: shutil.copy(os.path.join(ROOT, "tests", "fixtures", name), into)
+               for name in ("base_params.json", "prices_252.csv", "overrides_reference.json",
+                            "contract_eigenvalue.json")}
+    base = fixture["base_params.json"]
     ops.append(("verify/base", "verify", ["verify", "--params", base, *VERIFY_ARGS]))
+    calibrate = ["calibrate", "--prices", fixture["prices_252.csv"]]
+    ops.append(("calibrate/defaults", "calibrate", calibrate))
+    ops.append(("calibrate/overrides", "calibrate",
+                calibrate + ["--overrides", fixture["overrides_reference.json"]]))
+
+    with open(base) as fh:
+        params = json.load(fh)
+    with open(fixture["contract_eigenvalue.json"]) as fh:
+        contract = json.load(fh)
+    one_row = os.path.join(into, "one-row.csv")
+    with open(fixture["prices_252.csv"]) as fh, open(one_row, "w") as out:
+        out.writelines([next(fh), next(fh)])  # the header and one row
+    unattainable = os.path.join(into, "unattainable.json")
+    workloads._write_json(unattainable, {**contract, "target_return": 0.5})
+    overflowing = os.path.join(into, "overflowing-params.json")
+    driver = {"family": "gamma", "a": 25, "b": 5e29}
+    workloads._write_json(overflowing, {**params, "z1": driver, "z_star": driver, "z_star_star": driver})
+    price = ["price", "--contract", fixture["contract_eigenvalue.json"], "--params"]
+    ops += [
+        ("error/missing-params", "errors",
+         price + [os.path.join(into, "missing.json"), "--method", "approx"]),
+        ("error/one-row-prices", "errors", ["calibrate", "--prices", one_row]),
+        ("error/unattainable-target", "errors",
+         ["price", "--contract", unattainable, "--params", base, "--method", "approx"]),
+        ("error/overflowing-driver", "errors", price + [overflowing, "--method", "series"]),
+    ]
     return ops
 
 
+def _without_wall_time(text: str):
+    """The JSON value of text, without its `wall_time_s`; None for no text."""
+    if not text:
+        return None
+    value = json.loads(text)
+    value.pop("wall_time_s", None)
+    return value
+
+
 def run_ref(root: str, ops: list, out_dir: str) -> dict:
-    """{label: (exit code, stderr, report or None)} of every op on one ref."""
+    """{label: (exit code, stderr, {"out": --out file, "stdout": printed
+    report})} of every op on one ref.  The --out names are relative to out_dir,
+    so a report that echoes its own --out reads the same on both refs."""
     os.makedirs(out_dir)
-    jobs = [(label, argv + ["--out", os.path.join(out_dir, f"{k}.json")])
-            for k, (label, _, argv) in enumerate(ops)]
-    done = subprocess.run([sys.executable, "-c", RUNNER, os.path.join(root, "src")], cwd=root,
+    jobs = [(label, argv + ["--out", f"{k}.json"]) for k, (label, _, argv) in enumerate(ops)]
+    done = subprocess.run([sys.executable, "-c", RUNNER, os.path.join(root, "src")], cwd=out_dir,
                           input=json.dumps(jobs), capture_output=True, text=True, check=True)
-    codes = json.loads(done.stdout)
+    printed = json.loads(done.stdout)
     results = {}
     for k, (label, _, _) in enumerate(ops):
+        code, stdout, stderr = printed[label]
         path = os.path.join(out_dir, f"{k}.json")
-        report = None
+        written = None
         if os.path.exists(path):
             with open(path) as fh:
-                report = json.load(fh)
-            report.pop("wall_time_s", None)
-        results[label] = (*codes[label], report)
+                written = fh.read()
+        reports = {"out": _without_wall_time(written), "stdout": _without_wall_time(stdout)}
+        results[label] = (code, stderr, reports)
     return results
 
 
@@ -137,14 +185,15 @@ def main(argv=None) -> int:
         move = largest_move(rep_a, rep_b)
         if code_a != code_b or err_a != err_b:
             move = math.inf
-            notes.append(f"{label}: exit {code_a} -> {code_b} {err_b.strip() or err_a.strip()}")
+            lines = err_a.strip() if err_a == err_b else f"{err_a.strip()!r} -> {err_b.strip()!r}"
+            notes.append(f"{label}: exit {code_a} -> {code_b} {lines}")
         moves[group] = max(moves.get(group, 0.0), move)
     for group, move in moves.items():
         print(f"{group:20s} {'identical' if move == 0.0 else f'largest relative move {move:.3g}'}")
     for note in notes:
         print(note)
     changed = sum(move != 0.0 for move in moves.values())
-    print(f"{len(ops)} reports, {changed} of {len(moves)} groups differ")
+    print(f"{len(ops)} ops, {changed} of {len(moves)} groups differ")
     return 1 if changed else 0
 
 

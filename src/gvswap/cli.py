@@ -28,7 +28,7 @@ from .market import estimate_params, load_prices
 from .mc import SimulationConfig, mc_expected_cov
 from .params import ModelParams
 from .pricing import SwapContract, SwapKind, price_eigenvalue, price_trace
-from .reporting import RunReport, Stopwatch, dumps_17
+from .reporting import Stopwatch, dumps_17
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,6 +42,18 @@ EXIT_NUMERICAL = 6
 Z_THRESHOLD = 4.0
 
 SEED_ENV_VAR = "GVSWAP_SEED"
+
+#: (error types, exit code, message prefix) of every error a command reports
+#: on one line; the first row that matches wins, so subclasses come first
+_EXIT_CODES = (
+    ((FileNotFoundError, IsADirectoryError), EXIT_INPUT, ""),
+    ((InfeasibleTargetError,), EXIT_INFEASIBLE, ""),
+    ((EstimationError,), EXIT_ESTIMATION, ""),
+    ((NumericalError,), EXIT_NUMERICAL, ""),
+    # float arithmetic out of range at extreme parameter scales
+    ((OverflowError,), EXIT_NUMERICAL, "numerical overflow: "),
+    ((GvswapError, ValueError), EXIT_INPUT, ""),
+)
 
 
 def _read_json(path: str) -> dict:
@@ -78,6 +90,19 @@ def _load_params(path: str) -> ModelParams:
     return _parse_json(path, ModelParams.from_json_dict)
 
 
+def _report(command, watch, params, results, diagnostics=None, seed=None) -> str:
+    """The run report of a command as 17-digit JSON text."""
+    return dumps_17({
+        "command": command,
+        "params": params,
+        "results": results,
+        "diagnostics": diagnostics or {},
+        "seed": seed,
+        "version": __version__,
+        "wall_time_s": watch.elapsed,
+    })
+
+
 def cmd_calibrate(args) -> int:
     with Stopwatch() as watch:
         overrides = _read_json(args.overrides) if args.overrides else None
@@ -85,23 +110,18 @@ def cmd_calibrate(args) -> int:
             raise ParameterError(f"{args.overrides}: overrides must be a JSON object")
         series = load_prices(args.prices)
         params = estimate_params(series, overrides)
-    payload = params.to_json_dict()
-    _write_or_print(dumps_17(payload), args.out)
+    _write_or_print(dumps_17(params.to_json_dict()), args.out)
     if args.out:
-        report = RunReport(
-            command="calibrate",
-            params={"prices": args.prices, "overrides": args.overrides},
-            results={"out": args.out},
-            version=__version__,
-            wall_time_s=watch.elapsed,
-        )
-        sys.stdout.write(dumps_17(report.to_json_dict()))
+        inputs = {"prices": args.prices, "overrides": args.overrides}
+        sys.stdout.write(_report("calibrate", watch, inputs, {"out": args.out}))
     return EXIT_OK
 
 
 def cmd_price(args) -> int:
     """A trace swap reads only the closed-form diagonal: under series or approx
-    no off-diagonal is computed and --method only labels the report."""
+    no off-diagonal is computed and --method only labels the report.  Both
+    routes integrate over the params horizon, which must be the contract's;
+    the contract's rate discounts."""
     with Stopwatch() as watch:
         contract = _parse_json(args.contract, SwapContract.from_json_dict)
         params = _load_params(args.params) if args.params else None
@@ -111,6 +131,9 @@ def cmd_price(args) -> int:
             cov = _parse_json(args.omega, ExpectedCovMatrix.from_json_dict)
         elif params is None:
             raise ParameterError(f"--method {args.method} requires --params FILE")
+        elif params.horizon != contract.horizon:
+            raise ParameterError(f"{args.params}: horizon {params.horizon!r} days differs "
+                                 f"from the contract's {contract.horizon!r}")
         elif contract.kind is SwapKind.TRACE:
             cov = expected_diagonal(params, args.method)
         else:
@@ -133,20 +156,14 @@ def cmd_price(args) -> int:
                     "max-eigenvalue pricing needs expected returns: supply --params or --mu"
                 )
             result = price_eigenvalue(cov, mu, contract)
-    report = RunReport(
-        command="price",
-        params={
-            "contract": contract.to_json_dict(),
-            "method": args.method,
-            "params_file": args.params,
-            "omega_file": args.omega,
-        },
-        results=result.to_json_dict(),
-        diagnostics={"covariance_method": cov.method},
-        version=__version__,
-        wall_time_s=watch.elapsed,
-    )
-    _write_or_print(dumps_17(report.to_json_dict()), args.out)
+    inputs = {
+        "contract": contract.to_json_dict(),
+        "method": args.method,
+        "params_file": args.params,
+        "omega_file": args.omega,
+    }
+    diagnostics = {"covariance_method": cov.method}
+    _write_or_print(_report("price", watch, inputs, result.to_json_dict(), diagnostics), args.out)
     return EXIT_OK
 
 
@@ -176,20 +193,9 @@ def cmd_verify(args) -> int:
                 "z_scores": [float(x) for x in z.reshape(-1)],
                 "diagnostics": analytic.diagnostics,
             }
-    report = RunReport(
-        command="verify",
-        params=params.to_json_dict(),
-        results={
-            "mc": mc.to_json_dict(),
-            "routes": routes,
-            "max_abs_z": zmax,
-        },
-        diagnostics={"threshold": Z_THRESHOLD},
-        seed=seed,
-        version=__version__,
-        wall_time_s=watch.elapsed,
-    )
-    _write_or_print(dumps_17(report.to_json_dict()), args.out)
+    results = {"mc": mc.to_json_dict(), "routes": routes, "max_abs_z": zmax}
+    report = _report("verify", watch, params.to_json_dict(), results, {"threshold": Z_THRESHOLD}, seed)
+    _write_or_print(report, args.out)
     return EXIT_OK if zmax <= Z_THRESHOLD else EXIT_VERIFICATION
 
 
@@ -242,25 +248,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InfeasibleTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OverflowError as exc:
-        # float arithmetic out of range at extreme parameter scales
-        print(f"error: numerical overflow: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ParameterError, GvswapError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        for types, code, prefix in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise  # an unlisted error is a bug: let its traceback show
 
 
 if __name__ == "__main__":

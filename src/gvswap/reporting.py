@@ -1,10 +1,10 @@
-"""Run reports and diff-stable JSON output (17 significant digits)."""
+"""Diff-stable JSON output (17 significant digits) and the stopwatch of a
+run; the run reports themselves are built in `cli._report`."""
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 
 def _format_float(x: float) -> str:
@@ -49,30 +49,6 @@ def dumps_17(obj, indent: int = 2) -> str:
         raise TypeError(f"cannot serialize {type(o)!r}")
 
     return render(obj, 0) + "\n"
-
-
-@dataclass
-class RunReport:
-    """Envelope written by the command-line tools."""
-
-    command: str
-    params: dict
-    results: dict
-    diagnostics: dict = field(default_factory=dict)
-    seed: int | None = None
-    version: str = ""
-    wall_time_s: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
 
 
 class Stopwatch:

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateLawError, DomainError, ParameterError
+from .errors import DegenerateLawError, DomainError, NumericalError, ParameterError
 
 
 class Family(str, Enum):
@@ -81,9 +81,13 @@ class SubordinatorSpec:
         """n-th cumulant of the unit-time law, any order n >= 1."""
         if self.family is Family.ZERO:
             return 0.0
-        if self.family is Family.GAMMA:
-            return self.a * math.factorial(n - 1) / self.b**n
-        return self.a * _double_factorial_odd(n) / self.b ** (2 * n - 1)
+        try:
+            if self.family is Family.GAMMA:
+                return self.a * math.factorial(n - 1) / self.b**n
+            return self.a * _double_factorial_odd(n) / self.b ** (2 * n - 1)
+        except OverflowError:
+            raise NumericalError(f"cumulant of order {n} of {self.family.value}(a={self.a:.6g}, "
+                                 f"b={self.b:.6g}) overflows the float range") from None
 
     def cumulant_sequence(self, max_order: int) -> np.ndarray:
         """Array of cumulants kappa_1..kappa_max_order."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gvswap
+import gvswap.cli as cli
 from gvswap import (
     ModelParams,
     NumericalError,
@@ -30,6 +31,13 @@ from gvswap.cli import (
     EXIT_OK,
     EXIT_VERIFICATION,
     main,
+)
+from gvswap.errors import (
+    DomainError,
+    EstimationError,
+    GvswapError,
+    InfeasibleTargetError,
+    ParameterError,
 )
 from gvswap.reporting import dumps_17
 
@@ -272,7 +280,8 @@ class TestPrice:
     def test_overflow_exit_6(self, capsys, tmp_path):
         # gamma drivers with b = 5e29 have mean 5e-29, about 1e-24 of sigma0^2:
         # in the engine's unit, the power of 4 nearest sigma0^2, their rate is
-        # still 3.1e25, and its 16th power (order 2 kmax) overflows
+        # still 3.05e25, and its 13th power (of the orders up to 2 kmax = 16)
+        # overflows; the message names that law and that order
         params = json.loads((FIXTURES / "base_params.json").read_text())
         for key in ("z1", "z_star", "z_star_star"):
             params[key] = {"family": "gamma", "a": 25, "b": 5e29}
@@ -287,7 +296,8 @@ class TestPrice:
                 warnings.simplefilter("ignore")
                 code, _, err = run(capsys, command[0], "--params", path, *command[1:])
             assert code == EXIT_NUMERICAL
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err == ("error: cumulant of order 13 of gamma(a=25, b=3.05176e+25) "
+                           "overflows the float range\n")
 
     def test_negative_series_integrand_exit_6(self, capsys, tmp_path):
         # at gamma shape 1 the series diverges: E[sigma_0 sigma_1] reads -16.7
@@ -324,6 +334,40 @@ class TestPrice:
         assert code == EXIT_OK
         metric = json.loads(out)["results"]["expected_metric"]
         assert metric == pytest.approx(closed_form_trace(params), rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    def test_trace_at_jump_term_overflow_exit_6(self, capsys, tmp_path, method):
+        # at b = 1e160 even the trace's squared-jump term overflows: its
+        # kappa_2(Z1) = a / b^2 needs b^2 = 1e320
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        for key in ("z1", "z_star", "z_star_star"):
+            params[key] = {"family": "gamma", "a": 25, "b": 1e160}
+        path = tmp_path / "extreme.json"
+        path.write_text(dumps_17(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run(
+                capsys, "price", "--params", path, "--method", method,
+                "--contract", FIXTURES / "contract_trace.json",
+            )
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err == "error: cumulant of order 2 of gamma(a=25, b=1e+160) overflows the float range\n"
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    @pytest.mark.parametrize("contract", ["contract_trace.json", "contract_eigenvalue.json"])
+    def test_horizon_mismatch_exit_2(self, capsys, tmp_path, method, contract):
+        # the routes integrate over the params horizon (252 days); a contract
+        # of 21 days would get the 252-day metric under a 21-day discount
+        terms = json.loads((FIXTURES / contract).read_text())
+        terms["horizon"] = 21
+        path = tmp_path / "month.json"
+        path.write_text(dumps_17(terms))
+        params = FIXTURES / "base_params.json"
+        code, out, err = run(
+            capsys, "price", "--params", params, "--method", method, "--contract", path
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {params}: horizon 252.0 days differs from the contract's 21.0\n"
 
     def test_trace_series_at_r2_zero(self, capsys, tmp_path):
         # the trace reads only the closed-form diagonal; the eigenvalue swap
@@ -435,6 +479,47 @@ class TestTracePath:
         results = json.loads(out)["results"]
         assert results["expected_metric"] == want.expected_metric
         assert results["price"] == want.price
+
+
+class TestExitCodes:
+    """Each error type a command raises maps to one exit code and one
+    `error: ` line; any other error propagates out of main."""
+
+    LISTED = [
+        (FileNotFoundError, EXIT_INPUT, ""),
+        (IsADirectoryError, EXIT_INPUT, ""),
+        (InfeasibleTargetError, EXIT_INFEASIBLE, ""),
+        (EstimationError, EXIT_ESTIMATION, ""),
+        (NumericalError, EXIT_NUMERICAL, ""),
+        (OverflowError, EXIT_NUMERICAL, "numerical overflow: "),
+        (GvswapError, EXIT_INPUT, ""),
+        (ValueError, EXIT_INPUT, ""),
+    ]
+
+    @staticmethod
+    def raising(monkeypatch, error):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_price", fail)
+
+    def test_every_row_is_listed_here(self):
+        assert [t for types, _, _ in cli._EXIT_CODES for t in types] == [t for t, _, _ in self.LISTED]
+
+    @pytest.mark.parametrize("error, code, prefix", LISTED + [
+        (ParameterError, EXIT_INPUT, ""),
+        (DomainError, EXIT_INPUT, ""),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_listed_error(self, capsys, monkeypatch, error, code, prefix):
+        self.raising(monkeypatch, error)
+        assert run(capsys, "price", "--contract", "c.json") == (code, "", f"error: {prefix}boom\n")
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, PermissionError, RuntimeError])
+    def test_unlisted_error_propagates(self, capsys, monkeypatch, error):
+        self.raising(monkeypatch, error)
+        with pytest.raises(error, match="boom"):
+            main(["price", "--contract", "c.json"])
+        assert capsys.readouterr().err == ""
 
 
 class TestMalformedInput:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gvswap import (
     DegenerateLawError,
     DomainError,
     Family,
+    NumericalError,
     ParameterError,
     SubordinatorSpec,
 )
@@ -65,6 +67,21 @@ class TestCumulants:
             h = 0.02 / scale if n < 3 else 0.03 / scale
             oracle = derivative_at_zero(lambda th: spec.cgf(th), n, h)
             assert spec.cumulant(n) == pytest.approx(oracle, rel=1e-5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, n, law",
+        [
+            (SubordinatorSpec(Family.GAMMA, 25.0, 1e160), 2, "gamma(a=25, b=1e+160)"),
+            (SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.0, 1e40), 5, "ig(a=1, b=1e+40)"),
+        ],
+        ids=["gamma", "ig"],
+    )
+    def test_overflow_names_law_and_order(self, spec, n, law):
+        # b^n (gamma) or b^(2n-1) (ig) leaves the float range; one order lower
+        # it does not
+        assert math.isfinite(spec.cumulant(n - 1))
+        with pytest.raises(NumericalError, match=rf"^cumulant of order {n} of {re.escape(law)} overflows"):
+            spec.cumulant(n)
 
     def test_cumulants_nonnegative(self):
         for spec in (GAMMA_11, SubordinatorSpec(Family.INVERSE_GAUSSIAN, 0.7, 1.3), ZERO):

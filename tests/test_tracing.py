@@ -1,4 +1,4 @@
-"""The benchmark's tracer resolves every target and reads a price op.
+"""The benchmark's tracer resolves every target and reads price and verify ops.
 
 The tracer looks each target up by name in its owner's namespace and divides
 by the counts of traced calls, so a renamed or uncalled target fails here
@@ -34,3 +34,26 @@ def test_traced_price_ops_give_metrics(monkeypatch, capsys):
     capsys.readouterr()
     metrics = tracer.metrics(1, 0.0)
     assert metrics["quadrature.evals"]["value"] > 0
+
+
+def test_traced_verify_op_gives_metrics(monkeypatch, capsys):
+    # the simulation targets (mc.simulate, the driver draws and their mixing)
+    # are reached only by verify ops
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer:
+        code = cli.main([
+            "verify",
+            "--params", str(FIXTURES / "base_params.json"),
+            "--paths", "20",
+            "--steps", "20",
+            "--seed", "11",
+        ])
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION)
+    capsys.readouterr()
+    metrics = tracer.metrics(1, 0.0)
+    for name in ("mc.paths", "subordinators.sample_calls", "subordinators.mix_ms",
+                 "reporting.report_bytes"):
+        assert metrics[name]["value"] > 0, name
