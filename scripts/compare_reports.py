@@ -16,7 +16,12 @@ same files:
   tests/fixtures/overrides_reference.json;
 * one op per error exit: a missing params file (2), a one-row price CSV (3),
   an unattainable target return (4) and gamma(25, 5e29) drivers under
-  `series` (6).
+  `series` (6); and two trace ops on bad params, gamma(25, 1e-200) drivers
+  and a NaN `lambda`.
+
+An op that raises past `gvswap.cli.main` is recorded as exit 1, no stdout,
+and `<type>: <message>` as its error line, so a ref whose CLI lets an
+exception through still compares.
 
 Each ref runs its ops in one child process, in its own output directory, that
 puts the ref's src/ first on sys.path and calls gvswap.cli.main(argv).  The
@@ -51,7 +56,8 @@ CLASSES = workloads.SERIES_CLASSES + workloads.HEAVY_CLASSES + (workloads.BASE_C
 VERIFY_ARGS = ["--paths", "200", "--steps", "252", "--seed", "7"]
 
 #: runs a JSON list of (label, argv) in one process:
-#: {label: [exit code, stdout, stderr]}
+#: {label: [exit code, stdout, stderr]}, [1, "", "<type>: <message>"] for an
+#: uncaught exception
 RUNNER = """
 import contextlib, io, json, sys, warnings
 sys.path.insert(0, sys.argv[1])
@@ -60,9 +66,12 @@ warnings.simplefilter("ignore")
 out = {}
 for label, argv in json.load(sys.stdin):
     text, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
-        code = main(argv)
-    out[label] = [code, text.getvalue(), err.getvalue()]
+    try:
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out[label] = [code, text.getvalue(), err.getvalue()]
+    except Exception as exc:
+        out[label] = [1, "", f"{type(exc).__name__}: {exc}"]
 json.dump(out, sys.stdout)
 """
 
@@ -84,7 +93,7 @@ def write_inputs(into: str, seeds: int) -> list:
                     ops.append((f"{cls.name}/{seed}/{kind}/{method}", cls.name, argv))
     fixture = {name: shutil.copy(os.path.join(ROOT, "tests", "fixtures", name), into)
                for name in ("base_params.json", "prices_252.csv", "overrides_reference.json",
-                            "contract_eigenvalue.json")}
+                            "contract_eigenvalue.json", "contract_trace.json")}
     base = fixture["base_params.json"]
     ops.append(("verify/base", "verify", ["verify", "--params", base, *VERIFY_ARGS]))
     calibrate = ["calibrate", "--prices", fixture["prices_252.csv"]]
@@ -104,6 +113,12 @@ def write_inputs(into: str, seeds: int) -> list:
     overflowing = os.path.join(into, "overflowing-params.json")
     driver = {"family": "gamma", "a": 25, "b": 5e29}
     workloads._write_json(overflowing, {**params, "z1": driver, "z_star": driver, "z_star_star": driver})
+    tiny = os.path.join(into, "tiny-driver-params.json")
+    driver = {"family": "gamma", "a": 25, "b": 1e-200}
+    workloads._write_json(tiny, {**params, "z1": driver, "z_star": driver, "z_star_star": driver})
+    nan_lambda = os.path.join(into, "nan-lambda-params.json")
+    workloads._write_json(nan_lambda, {**params, "lambda": math.nan})  # written as NaN
+    trace = ["price", "--contract", fixture["contract_trace.json"], "--method", "approx", "--params"]
     price = ["price", "--contract", fixture["contract_eigenvalue.json"], "--params"]
     ops += [
         ("error/missing-params", "errors",
@@ -112,6 +127,8 @@ def write_inputs(into: str, seeds: int) -> list:
         ("error/unattainable-target", "errors",
          ["price", "--contract", unattainable, "--params", base, "--method", "approx"]),
         ("error/overflowing-driver", "errors", price + [overflowing, "--method", "series"]),
+        ("error/tiny-driver-trace", "errors", trace + [tiny]),
+        ("error/nan-lambda-trace", "errors", trace + [nan_lambda]),
     ]
     return ops
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -57,9 +58,16 @@ _EXIT_CODES = (
 
 
 def _read_json(path: str) -> dict:
+    """The JSON content of path.  NaN, Infinity and a literal past the float
+    range, such as 1e400, are input errors naming the file."""
+    def number(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise ParameterError(f"{path}: non-finite number {text}")
+        return value
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=number, parse_constant=number)
     except FileNotFoundError:
         raise FileNotFoundError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:

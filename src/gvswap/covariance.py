@@ -28,10 +28,11 @@ level, so its moments are of order 1 at any variance scale; the scaling by a
 power of 4 is exact, down to the square root, and each entry is scaled back
 once.  The time integral is one Gauss-Kronrod 7/15 rule in u = e^(-lam t)
 (quadrature.py): the three off-diagonals of a matrix are one integrand call
-on its 16 nodes (t = inf and the 15 Kronrod nodes), over one moment table,
-and the series tail is read from the same call.  A pair whose Kronrod error
-estimate exceeds the rule's relative target, or whose expansion is negative
-at a node, raises NumericalError.
+on its 16 nodes (t = inf and the 15 Kronrod nodes), over one moment table.
+The call records its centered moments and node values; the sign check, the
+node count and the series tail are read from that record after the rule
+returns.  A pair whose Kronrod error estimate exceeds the rule's relative
+target, or whose expansion is negative at a node, raises NumericalError.
 
 Diagonal entries are in closed form: the time average of E[sigma_i^2] is
 elementary (Barndorff-Nielsen & Shephard, JRSS B 63, 2001), so no expansion or
@@ -69,16 +70,6 @@ def sqrt_series_coefficients(kmax: int) -> np.ndarray:
     for k in range(1, kmax + 1):
         c[k] = c[k - 1] * (1.5 - k) / k
     return c
-
-
-def _collapsed_weights(kmax: int) -> np.ndarray:
-    """w_p = sum_{k>=p} binom(1/2,k) C(k,p) (-1)^(k-p), so that
-    sum_k c_k E[x^k] = sum_p w_p E[(1+x)^p]."""
-    c = sqrt_series_coefficients(kmax)
-    w = np.zeros(kmax + 1)
-    for p in range(kmax + 1):
-        w[p] = sum(c[k] * math.comb(k, p) * (-1) ** (k - p) for k in range(p, kmax + 1))
-    return w
 
 
 def _pair_index(pair) -> tuple[int, int]:
@@ -135,6 +126,11 @@ class _PairSeriesEngine:
     cancels catastrophically when the shifts are large against the product
     scale.)  Times come as arrays; the work is O(kmax^3) per node and pair,
     against O(kmax^5) for the expansion over both multinomials.
+
+    It also holds its order's series constants, for the centered argument x:
+    c_k = binom(1/2, k), the signed binomials with E[x^k] = sum_p C(k, p)
+    (-1)^(k-p) E[(1 + x)^p], and the collapsed weights w_p with
+    sum_k c_k E[x^k] = sum_p w_p E[(1 + x)^p].
     """
 
     def __init__(self, params: ModelParams, pairs, kmax: int, unit: float):
@@ -148,10 +144,10 @@ class _PairSeriesEngine:
         p, q = np.indices((K + 1, K + 1))
         binom = np.array([[math.comb(n, k) for k in range(K + 1)] for n in range(K + 1)])
         # table columns: Y, then one X per asset (cumulants b^n kappa_n(Zc), shift sigma0^2)
-        columns, self.shifts, weights = [tr.z1.scaled(1.0 / unit).cumulant_sequence(2 * K)], [0.0], []
+        columns, self.shifts, weights = [tr.z1.cumulant_sequence(2 * K, unit)], [0.0], []
         for asset in assets:
             a, b, comp = tr._mix(asset + 1)
-            columns.append(b**orders * comp.scaled(1.0 / unit).cumulant_sequence(2 * K))
+            columns.append(b**orders * comp.cumulant_sequence(2 * K, unit))
             self.shifts.append(params.assets[asset].sigma0_sq / unit)
             weights.append(binom * a**q)  # C(p, q) a^q, zero for q > p
         self.cumulants = np.stack(columns, axis=1)
@@ -160,6 +156,10 @@ class _PairSeriesEngine:
         self.left, self.right = (np.array([assets.index(pair[k]) for pair in self.pairs]) for k in (0, 1))
         self.lag = np.maximum(p - q, 0)  # G[p - q]
         self.hankel = p + q              # E[Y^(q + r)]
+        self.coefficients = sqrt_series_coefficients(K)
+        self.signed = binom * (-1.0) ** (p - q)  # C(k, p) (-1)^(k-p), zero for p > k
+        # w_p = sum_k c_k C(k, p) (-1)^(k-p), summed in order k = 0..kmax
+        self.collapsed = np.cumsum(self.coefficients[:, None] * self.signed, axis=0)[-1]
 
     def product_moments(self, t) -> np.ndarray:
         """M_p = E[(sigma_i^2 sigma_j^2)_t^p] for p = 0..kmax (in units of
@@ -186,23 +186,20 @@ def _centered_moments(engine: _PairSeriesEngine, t: np.ndarray):
     return M / np.where(m1 == 0.0, 1.0, m1)[:, None] ** np.arange(engine.kmax + 1)[:, None], np.sqrt(m1)
 
 
-def _series_point(weights: np.ndarray, centered) -> np.ndarray:
+def _series_point(engine: _PairSeriesEngine, centered) -> np.ndarray:
     """E[sigma_i sigma_j] of every pair from the truncated expansion, given
     _centered_moments at an array of times; shape (pairs, nodes)."""
     Mn, root = centered
     # summed in order p = 0..kmax at every node, so a node's value does not
     # depend on the other nodes of the call (a matrix-vector product's would)
-    return root * np.cumsum(weights[:, None] * Mn, axis=1)[:, -1]
+    return root * np.cumsum(engine.collapsed[:, None] * Mn, axis=1)[:, -1]
 
 
-def _series_tail(centered) -> np.ndarray:
+def _series_tail(engine: _PairSeriesEngine, centered) -> np.ndarray:
     """Largest |last retained term| / |full sum| over the nodes of
     _centered_moments, per pair."""
     Mn, root = centered
-    K = Mn.shape[1] - 1
-    # E[x^k] = sum_p C(k, p) (-1)^(k-p) E[(1 + x)^p], x the centered argument
-    signed = np.array([[math.comb(k, p) * (-1) ** (k - p) for p in range(K + 1)] for k in range(K + 1)])
-    terms = sqrt_series_coefficients(K)[:, None] * (signed @ Mn)
+    terms = engine.coefficients[:, None] * (engine.signed @ Mn)
     last, total = np.abs(root * terms[:, -1]), np.abs(root * terms.sum(axis=1))
     return np.divide(last, total, out=np.zeros_like(last), where=total != 0.0).max(axis=1)
 
@@ -212,31 +209,31 @@ def _integrate_pairs(params: ModelParams, pairs, method: str) -> list:
     gamma_ij / T int_0^T E[sigma_i sigma_j] dt plus the jump term, with
     E[sigma_i sigma_j] expanded about M_1 to order params.kmax ("series") or
     2 ("approx").  All pairs share one engine, in units of _variance_unit,
-    and one integrand call on the rule's nodes, and so one moment table; the
-    series diagnostics carry the series tail over those nodes.  A pair whose
-    expansion is negative at a node raises NumericalError."""
+    and one integrand call on the rule's nodes, and so one moment table.  The
+    sign check, the node count and the series tail are read from that call's
+    record, its centered moments and node values, after the rule returns.  A
+    pair whose expansion is negative at a node raises NumericalError."""
     series = method == "series"
     unit, T = _variance_unit(params), params.horizon
     engine = _PairSeriesEngine(params, pairs, params.kmax if series else 2, unit)
-    weights = _collapsed_weights(engine.kmax)
-    at_nodes = {}
+    calls = []  # (centered moments, node values) of each integrand call
 
     def integrand(t: np.ndarray) -> np.ndarray:
         centered = _centered_moments(engine, t)
-        value = _series_point(weights, centered)
-        tails = _series_tail(centered) if series else None
-        at_nodes.update(evals=t.size, lowest=value.min(axis=1) * unit, tails=tails)
-        return value
+        calls.append((centered, _series_point(engine, centered)))
+        return calls[-1][1]
 
     values, errs = adaptive_simpson(integrand, params.lam, T)
+    (centered, nodes), = calls
+    tails = _series_tail(engine, centered) if series else None
     entries = []
     for k, (i, j) in enumerate(engine.pairs):
-        if (low := at_nodes["lowest"][k]) < 0.0:
+        if (low := nodes[k].min() * unit) < 0.0:
             raise NumericalError(f"{method} route: E[sigma_{i} sigma_{j}] reads {low:.3e} < 0 at a node")
         gamma_ij = float(params.gamma[i, j])
-        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) * unit / T, "evals": at_nodes["evals"]}
+        diag = {"quad_error": abs(gamma_ij) * float(errs[k]) * unit / T, "evals": nodes.shape[1]}
         if series:
-            diag.update(series_tail=float(at_nodes["tails"][k]), kmax=engine.kmax)
+            diag.update(series_tail=float(tails[k]), kmax=engine.kmax)
         diag["jump_term"] = jump = _jump_term(params, i, j)
         entries.append((gamma_ij * float(values[k]) * unit / T + jump, diag))
     return entries

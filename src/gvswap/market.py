@@ -73,7 +73,7 @@ def load_prices(csv_path) -> tuple[ReturnSeries, ReturnSeries, ReturnSeries]:
     """Load a CSV with header date,asset1,asset2,asset3 into aligned series.
 
     Rows with any missing value are dropped; unparseable rows and nonpositive
-    prices are errors.  Rows are sorted by date.
+    or non-finite prices are errors.  Rows are sorted by date.
     """
     rows = []
     with open(csv_path, newline="") as fh:
@@ -97,8 +97,8 @@ def load_prices(csv_path) -> tuple[ReturnSeries, ReturnSeries, ReturnSeries]:
                 prices = [float(cell) for cell in row[1:]]
             except ValueError as exc:
                 raise EstimationError(f"{csv_path}:{lineno}: unparseable row ({exc})") from None
-            if any(p <= 0 for p in prices):
-                raise EstimationError(f"{csv_path}:{lineno}: nonpositive price")
+            if not all(0.0 < p < math.inf for p in prices):
+                raise EstimationError(f"{csv_path}:{lineno}: nonpositive or non-finite price")
             rows.append((date, prices))
     if len(rows) < 2:
         raise EstimationError(f"{csv_path}: fewer than 2 usable rows")

@@ -225,12 +225,9 @@ def _mean_and_stderr(samples: np.ndarray):
     return mean, stderr
 
 
-def mc_expected_cov(params: ModelParams, config: SimulationConfig,
-                    bundle: PathBundle = None) -> ExpectedCovMatrix:
+def mc_expected_cov(params: ModelParams, config: SimulationConfig) -> ExpectedCovMatrix:
     """Sample mean of the per-path realized covariation matrices."""
-    if bundle is None:
-        bundle = simulate(params, config)
-    mean, stderr = _mean_and_stderr(bundle.realized)
+    mean, stderr = _mean_and_stderr(simulate(params, config).realized)
     return ExpectedCovMatrix(
         entries=mean,
         method="mc",

@@ -78,20 +78,36 @@ class SubordinatorSpec:
 
     # -- cumulants ---------------------------------------------------------
     def cumulant(self, n: int) -> float:
-        """n-th cumulant of the unit-time law, any order n >= 1."""
+        """n-th cumulant of the unit-time law, any order n >= 1.  One past the
+        float range, as when b^n (gamma) or b^(2n-1) (ig) overflows or
+        underflows to 0, raises NumericalError naming the law and the order."""
         if self.family is Family.ZERO:
             return 0.0
         try:
-            if self.family is Family.GAMMA:
-                return self.a * math.factorial(n - 1) / self.b**n
-            return self.a * _double_factorial_odd(n) / self.b ** (2 * n - 1)
-        except OverflowError:
-            raise NumericalError(f"cumulant of order {n} of {self.family.value}(a={self.a:.6g}, "
-                                 f"b={self.b:.6g}) overflows the float range") from None
+            value = (self.a * math.factorial(n - 1) / self.b**n if self.family is Family.GAMMA
+                     else self.a * _double_factorial_odd(n) / self.b ** (2 * n - 1))
+        except (OverflowError, ZeroDivisionError):  # the power of b past the float range, or 0
+            value = math.inf
+        if math.isinf(value):
+            raise self._overflow(n)
+        return value
 
-    def cumulant_sequence(self, max_order: int) -> np.ndarray:
-        """Array of cumulants kappa_1..kappa_max_order."""
-        return np.array([self.cumulant(n) for n in range(1, max_order + 1)])
+    def _overflow(self, n: int, unit: float = 1.0) -> NumericalError:
+        units = "" if unit == 1.0 else f" in variance units of {unit:.6g}"
+        return NumericalError(f"cumulant of order {n} of {self.family.value}(a={self.a:.6g}, "
+                              f"b={self.b:.6g}){units} overflows the float range")
+
+    def cumulant_sequence(self, max_order: int, unit: float = 1.0) -> np.ndarray:
+        """Array of cumulants kappa_1..kappa_max_order of Z / unit, from the law
+        scaled(1 / unit); one past the float range raises NumericalError
+        naming this law, not the scaled one, and the unit."""
+        law, values = self.scaled(1.0 / unit), []
+        for n in range(1, max_order + 1):
+            try:
+                values.append(law.cumulant(n))
+            except NumericalError:
+                raise self._overflow(n, unit) from None
+        return np.array(values)
 
     def scaled(self, c: float) -> "SubordinatorSpec":
         """The unit-time law of c Z, c > 0, whose cumulants are c^n kappa_n."""

@@ -94,13 +94,11 @@ def route_integrand(params: ModelParams, pair, method: str):
     """E[sigma_i sigma_j] of one pair at an array of times, expanded to the
     route's order ("series": params.kmax, "approx": 2) by the package's
     product-moment engine: the integrand, without the package's quadrature."""
-    from gvswap.covariance import (
-        _centered_moments, _collapsed_weights, _PairSeriesEngine, _series_point, _variance_unit,
-    )
+    from gvswap.covariance import _centered_moments, _PairSeriesEngine, _series_point, _variance_unit
 
     order, unit = params.kmax if method == "series" else 2, _variance_unit(params)
-    engine, weights = _PairSeriesEngine(params, [pair], order, unit), _collapsed_weights(order)
-    return lambda t: unit * _series_point(weights, _centered_moments(engine, t))[0]
+    engine = _PairSeriesEngine(params, [pair], order, unit)
+    return lambda t: unit * _series_point(engine, _centered_moments(engine, t))[0]
 
 
 def reference_offdiagonals(params: ModelParams, method: str, integral=gauss_legendre_u) -> dict:

@@ -279,9 +279,10 @@ class TestPrice:
 
     def test_overflow_exit_6(self, capsys, tmp_path):
         # gamma drivers with b = 5e29 have mean 5e-29, about 1e-24 of sigma0^2:
-        # in the engine's unit, the power of 4 nearest sigma0^2, their rate is
-        # still 3.05e25, and its 13th power (of the orders up to 2 kmax = 16)
-        # overflows; the message names that law and that order
+        # in the engine's unit 4^-7, the power of 4 nearest sigma0^2, their
+        # rate is still 3.05e25, and its 13th power (of the orders up to
+        # 2 kmax = 16) overflows; the message names the law as the file states
+        # it, the unit and that order
         params = json.loads((FIXTURES / "base_params.json").read_text())
         for key in ("z1", "z_star", "z_star_star"):
             params[key] = {"family": "gamma", "a": 25, "b": 5e29}
@@ -296,8 +297,8 @@ class TestPrice:
                 warnings.simplefilter("ignore")
                 code, _, err = run(capsys, command[0], "--params", path, *command[1:])
             assert code == EXIT_NUMERICAL
-            assert err == ("error: cumulant of order 13 of gamma(a=25, b=3.05176e+25) "
-                           "overflows the float range\n")
+            assert err == ("error: cumulant of order 13 of gamma(a=25, b=5e+29) in variance units "
+                           "of 6.10352e-05 overflows the float range\n")
 
     def test_negative_series_integrand_exit_6(self, capsys, tmp_path):
         # at gamma shape 1 the series diverges: E[sigma_0 sigma_1] reads -16.7
@@ -352,6 +353,38 @@ class TestPrice:
             )
         assert code == EXIT_NUMERICAL and out == ""
         assert err == "error: cumulant of order 2 of gamma(a=25, b=1e+160) overflows the float range\n"
+
+    @pytest.mark.parametrize("method", ["series", "approx"])
+    @pytest.mark.parametrize("contract", ["contract_trace.json", "contract_eigenvalue.json"])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            # kappa_2 = a / b^2 (gamma) or a / b^3 (ig): the power underflows to 0 ...
+            {"family": "gamma", "a": 25, "b": 1e-200},
+            {"family": "ig", "a": 1, "b": 1e-200},
+            # ... or is subnormal, and the quotient is infinite
+            {"family": "gamma", "a": 25, "b": 1e-155},
+            {"family": "ig", "a": 1, "b": 1e-104},
+        ],
+        ids=["gamma-underflow", "ig-underflow", "gamma-infinite", "ig-infinite"],
+    )
+    def test_tiny_driver_rate_exit_6(self, capsys, tmp_path, law, contract, method):
+        # the squared-jump term's kappa_2(Z1), which every price reads, leaves
+        # the float range: it used to end in a ZeroDivisionError, or in an
+        # infinite price with exit 0
+        params = json.loads((FIXTURES / "base_params.json").read_text())
+        for key in ("z1", "z_star", "z_star_star"):
+            params[key] = law
+        path = tmp_path / "tiny.json"
+        path.write_text(dumps_17(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run(
+                capsys, "price", "--params", path, "--method", method, "--contract", FIXTURES / contract,
+            )
+        assert code == EXIT_NUMERICAL and out == ""
+        name = f"{law['family']}(a={law['a']}, b={law['b']:g})"
+        assert err == f"error: cumulant of order 2 of {name} overflows the float range\n"
 
     @pytest.mark.parametrize("method", ["series", "approx"])
     @pytest.mark.parametrize("contract", ["contract_trace.json", "contract_eigenvalue.json"])
@@ -557,6 +590,85 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "malformed.json" in err and "Traceback" not in err
+
+
+class TestNonFiniteInput:
+    """NaN, Infinity and a float literal past the float range are input errors
+    naming the file, in every JSON input; json.load would accept them, and no
+    parameter check rejects a NaN."""
+
+    @staticmethod
+    def _edited(tmp_path, fixture, edit, token):
+        """fixture with the value that edit(data, marker) puts in replaced by
+        the raw JSON token."""
+        data = json.loads((FIXTURES / fixture).read_text())
+        edit(data, "@")
+        path = tmp_path / f"non-finite-{fixture}"
+        path.write_text(json.dumps(data).replace('"@"', token))
+        return path
+
+    @pytest.mark.parametrize("contract", ["contract_trace.json", "contract_eigenvalue.json"])
+    @pytest.mark.parametrize(
+        "which, edit, token",
+        [
+            ("params", lambda d, v: d.update({"lambda": v}), "NaN"),
+            ("params", lambda d, v: d["assets"][0].update(sigma0_sq=v), "NaN"),
+            ("params", lambda d, v: d["z1"].update(a=v), "NaN"),
+            ("params", lambda d, v: d["assets"][1].update(rho=v), "NaN"),
+            ("params", lambda d, v: d.update({"lambda": v}), "1e400"),
+            ("params", lambda d, v: d.update(rate=v), "-Infinity"),
+            ("contract", lambda d, v: d.update(strike=v), "NaN"),
+        ],
+        ids=["lambda", "sigma0_sq", "z1-a", "rho", "lambda-1e400", "rate", "strike"],
+    )
+    def test_price_exit_2(self, capsys, tmp_path, which, edit, token, contract):
+        files = {"params": FIXTURES / "base_params.json", "contract": FIXTURES / contract}
+        files[which] = bad = self._edited(tmp_path, files[which].name, edit, token)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run(capsys, "price", "--params", files["params"], "--method", "approx",
+                                 "--contract", files["contract"])
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {bad}: non-finite number {token}\n"
+
+    @pytest.mark.parametrize(
+        "kind, fixture, edit, token",
+        [
+            ("omega", "omega_reference.json", lambda d, v: d["entries"].__setitem__(4, v), "Infinity"),
+            ("fixed-basis", "printed_basis_reference.json",
+             lambda d, v: d["coords"].__setitem__(0, v), "NaN"),
+            ("overrides", "overrides_reference.json", lambda d, v: d.update({"lambda": v}), "NaN"),
+            ("verify-params", "base_params.json", lambda d, v: d.update({"lambda": v}), "NaN"),
+        ],
+        ids=["omega", "fixed-basis", "overrides", "verify-params"],
+    )
+    def test_other_files_exit_2(self, capsys, tmp_path, kind, fixture, edit, token):
+        bad = self._edited(tmp_path, fixture, edit, token)
+        omega = FIXTURES / "omega_reference.json"
+        argv = {
+            "omega": ("price", "--method", "fixture-omega", "--omega", bad,
+                      "--contract", FIXTURES / "contract_trace.json"),
+            "fixed-basis": ("price", "--method", "fixture-omega", "--omega", omega,
+                            "--contract", FIXTURES / "contract_eigenvalue.json", "--fixed-basis", bad),
+            "overrides": ("calibrate", "--prices", FIXTURES / "prices_252.csv", "--overrides", bad),
+            "verify-params": ("verify", "--params", bad, "--paths", 4, "--steps", 4),
+        }[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {bad}: non-finite number {token}\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_price_cell_exit_3(self, capsys, tmp_path, cell):
+        lines = (FIXTURES / "prices_252.csv").read_text().splitlines(True)
+        row = lines[4].split(",")
+        lines[4] = ",".join([row[0], cell, *row[2:]])
+        path = tmp_path / "prices.csv"
+        path.write_text("".join(lines))
+        code, out, err = run(capsys, "calibrate", "--prices", path)
+        assert code == EXIT_ESTIMATION and out == ""
+        assert err == f"error: {path}:5: nonpositive or non-finite price\n"
 
 
 class TestVerify:

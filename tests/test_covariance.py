@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from gvswap import (
     expected_var_leg,
     refcase,
 )
-from gvswap.covariance import sqrt_series_coefficients
+from gvswap.covariance import _PairSeriesEngine, _variance_unit, sqrt_series_coefficients
+from gvswap.params import PAIR_ORDER
 
 from .conftest import make_params
 from .legs import _PairApproxEngine
@@ -38,6 +40,23 @@ class TestSeriesCoefficients:
         c = sqrt_series_coefficients(10)
         for k in range(11):
             assert c[k] == float(exact_sqrt_binomial(k))
+
+    @pytest.mark.parametrize("kmax", range(1, 13))
+    def test_engine_constants_collapse_the_series(self, base_params, kmax):
+        # as polynomials in x: x^k = sum_p signed[k, p] (1 + x)^p, and
+        # sum_p w_p (1 + x)^p = sum_k binom(1/2, k) x^k, compared coefficient
+        # by coefficient in exact arithmetic
+        engine = _PairSeriesEngine(base_params, PAIR_ORDER, kmax, _variance_unit(base_params))
+        orders = range(kmax + 1)
+
+        def expand(row):  # x^j coefficients of sum_p row[p] (1 + x)^p
+            return [sum(Fraction(row[p]) * math.comb(p, j) for p in orders) for j in orders]
+
+        for k in orders:
+            assert expand(engine.signed[k]) == [int(j == k) for j in orders]
+        for j, (got, c) in enumerate(zip(expand(engine.collapsed), map(exact_sqrt_binomial, orders))):
+            assert abs(got - c) <= Fraction(1, 10**15) * abs(c), j
+            assert abs(Fraction(engine.coefficients[j]) - c) <= Fraction(1, 10**15) * abs(c), j
 
 
 class TestVarianceLegs:

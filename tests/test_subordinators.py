@@ -83,6 +83,32 @@ class TestCumulants:
         with pytest.raises(NumericalError, match=rf"^cumulant of order {n} of {re.escape(law)} overflows"):
             spec.cumulant(n)
 
+    @pytest.mark.parametrize(
+        "spec, law",
+        [
+            (SubordinatorSpec(Family.GAMMA, 25.0, 1e-200), "gamma(a=25, b=1e-200)"),  # b^2 is 0
+            (SubordinatorSpec(Family.GAMMA, 25.0, 1e-155), "gamma(a=25, b=1e-155)"),  # a / b^2 is inf
+            (SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.0, 1e-200), "ig(a=1, b=1e-200)"),
+            (SubordinatorSpec(Family.INVERSE_GAUSSIAN, 1.0, 1e-104), "ig(a=1, b=1e-104)"),
+        ],
+        ids=["gamma-zero-power", "gamma-inf", "ig-zero-power", "ig-inf"],
+    )
+    def test_tiny_rate_names_law_and_order(self, spec, law):
+        assert math.isfinite(spec.cumulant(1))
+        with pytest.raises(NumericalError, match=rf"^cumulant of order 2 of {re.escape(law)} overflows"):
+            spec.cumulant(2)
+
+    def test_scaled_sequence_names_the_unscaled_law(self):
+        # the scaled law gamma(25, 3.05e25) overflows at order 13; the message
+        # names the law as given and the unit instead
+        spec = SubordinatorSpec(Family.GAMMA, 25.0, 5e29)
+        unit = 4.0**-7
+        assert spec.cumulant_sequence(12, unit).tolist() == spec.scaled(1.0 / unit).cumulant_sequence(12).tolist()
+        with pytest.raises(NumericalError) as caught:
+            spec.cumulant_sequence(16, unit)
+        assert str(caught.value) == ("cumulant of order 13 of gamma(a=25, b=5e+29) in variance units "
+                                     "of 6.10352e-05 overflows the float range")
+
     def test_cumulants_nonnegative(self):
         for spec in (GAMMA_11, SubordinatorSpec(Family.INVERSE_GAUSSIAN, 0.7, 1.3), ZERO):
             for n in range(1, 5):
